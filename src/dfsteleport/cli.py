@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -55,6 +56,16 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     return parse_config(doc)
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -93,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="maximize average fidelity over the timing window")
     add_common(p_opt)
-    p_opt.add_argument("--tol-tau", type=float, default=1e-6)
+    p_opt.add_argument("--tol-tau", type=_positive_float, default=1e-6,
+                       help="golden-section tolerance on tau (finite, > 0)")
 
     p_sweep = sub.add_parser("sweep", help="average fidelity curve over the timing window, CSV")
     add_common(p_sweep)

@@ -23,7 +23,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .metrics import average_fts_analytic, average_fts_numeric, bloch_fidelity_fn, chsh, concurrence
+from .metrics import (
+    average_fts_analytic,
+    average_fts_numeric,
+    bloch_fidelity_fn,
+    chsh,
+    concurrence,
+    has_closed_form,
+)
 from .noisekernel import DecoherenceFactors, NoiseParams, factors_at
 from .optimizer import TimingProblem, maximize_timing, sweep
 from .protocol import (
@@ -134,15 +141,24 @@ class ResultTable:
                     raise ValueError("table cells must be finite")
 
 
+def _finite_number(val, where: str) -> float:
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        raise ConfigError(f"{where}: expected a number, got {val!r}")
+    try:
+        x = float(val)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {val!r}")
+    return x
+
+
 def _require_number(obj: dict, key: str, context: str, default=None):
     if key not in obj:
         if default is not None:
             return default
         raise ConfigError(f"{context}: missing required field {key!r}")
-    val = obj[key]
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{context}.{key}: expected a number, got {val!r}")
-    return float(val)
+    return _finite_number(obj[key], f"{context}.{key}")
 
 
 def _parse_noise(obj, context: str, default: NoiseParams) -> NoiseParams:
@@ -208,7 +224,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         w = doc["window"]
         if not (isinstance(w, (list, tuple)) and len(w) == 2):
             raise ConfigError(f"window: expected [lo, hi], got {w!r}")
-        lo, hi = float(w[0]), float(w[1])
+        lo, hi = (_finite_number(v, f"window[{i}]") for i, v in enumerate(w))
         if not (0.0 <= lo < hi):
             raise ConfigError(f"window: must satisfy 0 <= lo < hi, got {w!r}")
         window = (lo, hi)
@@ -327,12 +343,9 @@ def _average_block(resource: ResourceSpec, factors: DecoherenceFactors,
         "montecarlo": mc.value,
         "montecarlo_stderr": mc.stderr,
     }
-    if convention == "paper" or isinstance(resource, Werner) or (
-        isinstance(resource, PurePair) and abs(resource.mu - resource.lam) < 1e-12
-    ):
-        block["analytic"] = float(average_fts_analytic(resource, factors.b))
-    else:
-        block["analytic"] = None
+    block["analytic"] = (
+        float(average_fts_analytic(resource, factors.b)) if has_closed_form(resource, convention) else None
+    )
     return block
 
 

@@ -98,6 +98,18 @@ def average_fts_werner(p: float, b: complex) -> float:
     return (p / 3.0) * np.real(b) + p / 6.0 + 0.5
 
 
+def has_closed_form(resource: ResourceSpec, convention: str) -> bool:
+    """True when ``average_fts_analytic`` gives the Bloch average in ``convention``.
+
+    The physical convention coincides with the paper's at flat branch
+    probabilities (Werner and balanced pure resources); a non-maximal pure
+    resource in the physical convention has no closed form.
+    """
+    return convention == "paper" or isinstance(resource, Werner) or (
+        isinstance(resource, PurePair) and abs(resource.mu - resource.lam) < 1e-12
+    )
+
+
 def average_fts_analytic(resource: ResourceSpec, b: complex) -> float:
     if isinstance(resource, PurePair):
         return average_fts_pure(resource.mu, resource.lam, b)
@@ -224,16 +236,7 @@ def fidelity_report(
     """Pointwise plus analytic/quadrature/Monte-Carlo averages in one convention."""
     fn = bloch_fidelity_fn(resource, factors, convention)
     pointwise = float(fn(np.array([input_state.theta]), np.array([input_state.phi]))[0])
-    analytic: Optional[float]
-    if convention == "paper":
-        analytic = average_fts_analytic(resource, factors.b)
-    elif isinstance(resource, Werner) or (
-        isinstance(resource, PurePair) and abs(resource.mu - resource.lam) < 1e-12
-    ):
-        # conventions coincide at flat branch probabilities
-        analytic = average_fts_analytic(resource, factors.b)
-    else:
-        analytic = None
+    analytic = average_fts_analytic(resource, factors.b) if has_closed_form(resource, convention) else None
     quad = average_fts_numeric(fn, "quadrature")
     mc = average_fts_numeric(fn, "montecarlo", samples=mc_samples, seed=seed)
     return FidelityReport(
@@ -252,7 +255,7 @@ def concurrence(rho: DensityOp) -> float:
         raise ValueError("concurrence requires a two-qubit state")
     yy = np.kron(SIGMA_Y, SIGMA_Y)
     rho_tilde = yy @ rho.mat.conj() @ yy
-    root = mat_sqrt_psd(rho.mat)
+    root = mat_sqrt_psd(rho)
     w, _ = eig_hermitian(root @ rho_tilde @ root)
     lam = np.sqrt(np.clip(w, 0.0, None))
     return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))

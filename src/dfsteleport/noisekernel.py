@@ -41,6 +41,8 @@ import numpy as np
 REL_TOL = 1e-8
 _ABS_FLOOR = 1e-14
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# largest x whose square is finite; past it the closed forms switch to overflow-free variants
+_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 class NumericAccuracyError(RuntimeError):
@@ -172,8 +174,10 @@ def decay_rate(params: NoiseParams, t: float, method: str = "auto") -> float:
     if _resolve_method(params, method) == "closed":
         if params.temperature != 0.0:
             raise ValueError("closed form is only exact at zero temperature")
-        lt2 = (params.lambda_c * t) ** 2
-        return 4.0 * params.gamma * params.lambda_c**2 * t / (1.0 + lt2)
+        x = params.lambda_c * t
+        if max(x, params.lambda_c) > _SQRT_MAX:
+            return 4.0 * params.gamma * params.lambda_c / (x + 1.0 / x)  # 4*gamma*L*x/(1 + x^2)
+        return 4.0 * params.gamma * params.lambda_c**2 * t / (1.0 + x**2)
 
     def integrand(w):
         return (
@@ -202,7 +206,10 @@ def cumulative_decay(params: NoiseParams, tau: float, method: str = "auto") -> f
     if _resolve_method(params, method) == "closed":
         if params.temperature != 0.0:
             raise ValueError("closed form is only exact at zero temperature")
-        return 2.0 * params.gamma * np.log1p((params.lambda_c * tau) ** 2)
+        x = params.lambda_c * tau
+        if x > _SQRT_MAX:
+            return 4.0 * params.gamma * np.log(x)  # ln(1 + x^2) = 2 ln(x) to double precision
+        return 2.0 * params.gamma * np.log1p(x**2)
 
     def integrand(w):
         # 1 - cos as 2 sin^2 avoids cancellation at small w*tau
@@ -267,8 +274,6 @@ def factors_at(alice: NoiseParams, bob: NoiseParams, tau: float, method: str = "
     no bath phase; the up-down/down-up coherence it leaves untouched is
     handled in the channel layer.
     """
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
     g_alice = cumulative_decay(alice, tau, method=method)
     p_alice = phase_integral(alice, tau, method=method)
     g_bob = cumulative_decay(bob, tau, method=method)

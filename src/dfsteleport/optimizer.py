@@ -22,9 +22,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .metrics import average_fts_analytic, average_fts_numeric, bloch_fidelity_fn
+from .metrics import average_fts_analytic, average_fts_numeric, bloch_fidelity_fn, has_closed_form
 from .noisekernel import NoiseParams, factors_at
-from .protocol import PurePair, ResourceSpec, Werner
+from .protocol import ResourceSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GRID_STEP = math.pi / 50.0
@@ -63,36 +63,31 @@ def _alice_placeholder(bob: NoiseParams) -> NoiseParams:
     return NoiseParams(gamma=0.0, lambda_c=1.0, temperature=0.0, omega0=bob.omega0)
 
 
-def objective_fn(problem: TimingProblem, use_quadrature: bool = False) -> Objective:
+def objective_fn(problem: TimingProblem) -> Objective:
     """Average fidelity as a function of tau.
 
-    The analytic closed form is the default; ``use_quadrature`` swaps in the
-    Bloch-quadrature average as a transcription-error guard.  The physical
-    convention for a non-maximal pure resource has no closed form and always
-    goes through quadrature.
+    The analytic closed form is used wherever one exists; the physical
+    convention for a non-maximal pure resource has none and goes through the
+    Bloch-quadrature average.
     """
     alice = _alice_placeholder(problem.bob_noise)
-    needs_quadrature = use_quadrature or (
-        problem.convention == "physical"
-        and isinstance(problem.resource, PurePair)
-        and abs(problem.resource.mu - problem.resource.lam) > 1e-12
-    )
+    closed = has_closed_form(problem.resource, problem.convention)
 
     def fn(tau: float) -> float:
         fac = factors_at(alice, problem.bob_noise, tau)
-        if needs_quadrature:
-            pointwise = bloch_fidelity_fn(problem.resource, fac, problem.convention)
-            return average_fts_numeric(pointwise, "quadrature").value
-        return float(average_fts_analytic(problem.resource, fac.b))
+        if closed:
+            return float(average_fts_analytic(problem.resource, fac.b))
+        pointwise = bloch_fidelity_fn(problem.resource, fac, problem.convention)
+        return average_fts_numeric(pointwise, "quadrature").value
 
     return fn
 
 
-def sweep(problem: TimingProblem, n_points: int, use_quadrature: bool = False) -> np.ndarray:
+def sweep(problem: TimingProblem, n_points: int) -> np.ndarray:
     """Uniform tau grid of (tau, average fidelity) over the problem window."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    fn = objective_fn(problem, use_quadrature)
+    fn = objective_fn(problem)
     taus = np.linspace(problem.window[0], problem.window[1], n_points)
     values = np.array([fn(t) for t in taus])
     return np.column_stack([taus, values])
@@ -116,18 +111,14 @@ def _golden_max(fn: Objective, lo: float, hi: float, tol: float) -> Tuple[float,
     return tau, fn(tau)
 
 
-def maximize_timing(
-    problem: TimingProblem,
-    tol_tau: float = 1e-6,
-    use_quadrature: bool = False,
-) -> TimingSolution:
+def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolution:
     """Global maximum of the average fidelity over the window, plus all local maxima."""
     if tol_tau <= 0.0:
         raise ValueError("tol_tau must be > 0")
     lo, hi = problem.window
-    fn = objective_fn(problem, use_quadrature)
+    fn = objective_fn(problem)
     n_points = max(int(math.ceil((hi - lo) / _MAX_GRID_STEP)) + 1, 3)
-    grid = sweep(problem, n_points, use_quadrature)
+    grid = sweep(problem, n_points)
     taus, values = grid[:, 0], grid[:, 1]
 
     candidates: list[Tuple[float, float]] = []

@@ -43,6 +43,7 @@ from .qlinalg import (
     ContractViolationError,
     DensityOp,
     PureKet,
+    _unchecked,
     tensor,
 )
 
@@ -204,7 +205,7 @@ def resource_state(resource: ResourceSpec) -> DensityOp:
     if isinstance(resource, Werner):
         phi = _BELL_AMPS[BellOutcome.PHI_PLUS]
         mat = resource.p * np.outer(phi, phi.conj()) + (1.0 - resource.p) / 4.0 * np.eye(4)
-        return DensityOp(mat)
+        return _unchecked(mat)
     raise TypeError(f"unknown resource spec {resource!r}")
 
 
@@ -245,7 +246,12 @@ def run_with_factors(
     factors: DecoherenceFactors,
     strategy: Strategy = Strategy.RETAIN_PSI_ONLY,
 ) -> ProtocolRun:
-    """Full pipeline with the decoherence factors supplied directly."""
+    """Full pipeline with the decoherence factors supplied directly.
+
+    The evolved three-qubit state is the one checked value of a run: it is
+    where caller-supplied factors first meet a state.  The branch states are
+    projections of it and are wrapped without a re-check.
+    """
     joint = build_joint(input_state, resource)
     evolved = joint_evolve(joint, alice_factor_matrix(factors), bob_factor_matrix(factors))
     rho = evolved.mat.reshape(4, 2, 4, 2)
@@ -258,13 +264,13 @@ def run_with_factors(
         unnorm = np.einsum("i,ijkl,k->jl", bell.conj(), rho, bell)
         prob = float(np.trace(unnorm).real)
         probabilities[outcome] = prob
-        paper_scaled = DensityOp(4.0 * unnorm, normalized=False)
+        paper_scaled = _unchecked(4.0 * unnorm, normalized=False)
         correction = _CORRECTIONS[outcome]
         corrected_scaled = correction @ (4.0 * unnorm) @ correction.conj().T
         fidelity_paper = float(np.real(psi_in.conj() @ corrected_scaled @ psi_in))
         if prob > DEGENERATE_PROB:
-            conditional = DensityOp(unnorm / prob)
-            output = DensityOp(corrected_scaled / (4.0 * prob))
+            conditional = _unchecked(unnorm / prob)
+            output = _unchecked(corrected_scaled / (4.0 * prob))
             fidelity = float(np.real(psi_in.conj() @ output.mat @ psi_in))
         else:
             conditional = None
@@ -306,8 +312,6 @@ def run_protocol(
     strategy: Strategy = Strategy.RETAIN_PSI_ONLY,
 ) -> ProtocolRun:
     """Teleportation run with factors computed from the two wings' baths."""
-    if tau < 0.0:
-        raise ValueError("tau must be >= 0")
     factors = factors_at(alice_noise, bob_noise, tau)
     run = run_with_factors(input_state, resource, factors, strategy)
     return dataclasses.replace(run, alice_noise=alice_noise, bob_noise=bob_noise, tau=tau)

@@ -6,8 +6,13 @@ spin-up mapped to bit 0, so for two qubits the rows/columns are
 ``HERMITICITY_TOL`` (1e-12) and spectral checks use ``SPECTRAL_TOL`` (1e-10);
 these are comfortable for double precision at the 8x8 sizes handled here.
 
-Values are immutable after construction (the wrapped arrays are frozen), so
-everything in this module is safe to share across parallel workers.
+Values are validated once, where they enter the package: a ``DensityOp`` or
+``PureKet`` that a caller builds runs every structural and spectral check.  A
+state the package derives from checked states through a map that preserves
+Hermiticity, trace and positivity (a projector, a tensor product, a partial
+trace, a Bell-branch projection) is wrapped by ``_unchecked`` without a second
+eigen-solve.  Values are immutable either way (the wrapped arrays are frozen),
+so everything in this module is safe to share across parallel workers.
 """
 
 from __future__ import annotations
@@ -95,6 +100,14 @@ class DensityOp:
         return float(np.trace(self.mat).real)
 
 
+def _unchecked(mat: np.ndarray, normalized: bool = True) -> DensityOp:
+    """Frozen ``DensityOp`` around a matrix derived from checked states; no re-check."""
+    rho = object.__new__(DensityOp)
+    object.__setattr__(rho, "mat", _freeze(np.asarray(mat, dtype=complex)))
+    object.__setattr__(rho, "normalized", normalized)
+    return rho
+
+
 @dataclass(frozen=True)
 class PureKet:
     """Normalized state vector in the computational basis."""
@@ -114,7 +127,9 @@ class PureKet:
         return self.amps.shape[0]
 
     def projector(self, normalized: bool = True) -> DensityOp:
-        return DensityOp(np.outer(self.amps, self.amps.conj()), normalized=normalized)
+        if self.dim not in SUPPORTED_DIMS:
+            raise UnsupportedDimensionError(f"projector dimension {self.dim} not in {SUPPORTED_DIMS}")
+        return _unchecked(np.outer(self.amps, self.amps.conj()), normalized)
 
 
 @dataclass(frozen=True)
@@ -160,7 +175,7 @@ def tensor(a: DensityOp | PureKet, b: DensityOp | PureKet) -> DensityOp | PureKe
             raise UnsupportedDimensionError(
                 f"tensor product dimension {a.dim * b.dim} exceeds 8"
             )
-        return DensityOp(np.kron(a.mat, b.mat), normalized=a.normalized and b.normalized)
+        return _unchecked(np.kron(a.mat, b.mat), a.normalized and b.normalized)
     if isinstance(a, PureKet) and isinstance(b, PureKet):
         return PureKet(np.kron(a.amps, b.amps))
     raise TypeError("tensor operands must both be DensityOp or both PureKet")
@@ -179,7 +194,7 @@ def partial_trace(rho: DensityOp, keep: Iterable[int]) -> DensityOp:
     for q in sorted(traced, reverse=True):
         t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
     d = 2 ** len(keep_list)
-    return DensityOp(t.reshape(d, d), normalized=rho.normalized)
+    return _unchecked(t.reshape(d, d), rho.normalized)
 
 
 def eig_hermitian(m: np.ndarray | DensityOp) -> Tuple[np.ndarray, np.ndarray]:
@@ -197,8 +212,7 @@ def mat_sqrt_psd(m: np.ndarray | DensityOp) -> np.ndarray:
     Eigenvalues in [-1e-8, 0) are clipped to zero; anything more negative is a
     contract violation.
     """
-    a = m.mat if isinstance(m, DensityOp) else _as_complex_matrix(m)
-    w, v = eig_hermitian(a)
+    w, v = eig_hermitian(m)
     if w[0] < -1e-8:
         raise ContractViolationError(f"matrix has negative eigenvalue {w[0]!r}")
     root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T

@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfsteleport import cli, experiments
 from dfsteleport.experiments import (
@@ -71,6 +74,54 @@ def test_parse_config_defaults():
 def test_parse_config_rejects_bad_documents(doc):
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+# arbitrary JSON values, with the floats JSON parsers accept beyond the standard
+JSON_NUMBERS = st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _fields(*names, **fixed):
+    value = st.floats(0.0, 1.0) | JSON_NUMBERS | JSON_VALUES
+    return st.fixed_dictionaries(fixed, optional={name: value for name in names})
+
+
+CONFIG_DOCS = st.fixed_dictionaries({}, optional={
+    "resource": _fields("concurrence", "mu", "lambda", "p", kind=st.sampled_from(["pure", "werner"]))
+    | JSON_VALUES,
+    "alice_noise": _fields("gamma", "lambda_c", "temperature", "omega0") | JSON_VALUES,
+    "bob_noise": _fields("gamma", "lambda_c", "temperature", "omega0") | JSON_VALUES,
+    "tau": JSON_NUMBERS | JSON_VALUES,
+    "window": st.lists(JSON_NUMBERS, min_size=2, max_size=2) | JSON_VALUES,
+    "input": _fields("theta", "phi") | st.just("average") | JSON_VALUES,
+    "strategy": st.sampled_from(["retain-psi", "retain-all"]) | JSON_VALUES,
+    "convention": st.sampled_from(["paper", "physical"]) | JSON_VALUES,
+    "seed": JSON_NUMBERS | JSON_VALUES,
+    "n_points": JSON_NUMBERS | JSON_VALUES,
+})
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _numbers(item)]
+    return [value] if isinstance(value, (int, float)) else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(CONFIG_DOCS)
+def test_parse_config_accepts_only_finite_numbers(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    assert all(math.isfinite(x) for x in _numbers(cfg.canonical))
+    assert cfg.tau is None or math.isfinite(cfg.tau)
 
 
 def test_parse_config_average_input():
@@ -275,6 +326,55 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('{"resource": ')
     assert cli.main(["run", "--config", str(broken)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,doc,field",
+    [
+        ("run", {"tau": math.nan}, "tau"),
+        ("run", {"tau": math.inf}, "tau"),
+        ("sweep", {"window": ["a", 2]}, "window"),
+        ("sweep", {"window": [0, math.inf]}, "window"),
+        ("sweep", {"window": [False, True]}, "window"),
+    ],
+)
+def test_cli_rejects_non_finite_or_non_numeric_config_values(tmp_path, capsys, command, doc, field):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TABLE1_CONFIG, **doc}))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_bad_tol_tau(tmp_path, capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["optimize", f"--tol-tau={tol}", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--tol-tau" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"tau": 1e200},
+        {"tau": 2.0, "bob_noise": {"gamma": 0.1, "lambda_c": 1e300}},
+        {"tau": 2.0, "alice_noise": {"gamma": 0.1, "lambda_c": 1e300}},
+    ],
+)
+def test_cli_run_survives_huge_decay_arguments(tmp_path, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TABLE1_CONFIG, **doc}))
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-finite {name} in the report")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["tau"] == doc["tau"]
 
 
 def test_cli_numeric_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -12,6 +12,7 @@ from dfsteleport.metrics import (
     concurrence,
     fidelity_pointwise,
     fidelity_report,
+    has_closed_form,
 )
 from dfsteleport.noisekernel import DecoherenceFactors, NoiseParams, factors_at
 from dfsteleport.protocol import PurePair, Werner, resource_state
@@ -123,6 +124,16 @@ def test_average_fts_input_domain_checks():
         average_fts_pure(0.9, 0.9, 1.0)
     with pytest.raises(ValueError):
         average_fts_werner(1.4, 1.0)
+
+
+def test_has_closed_form_where_the_conventions_coincide():
+    assert has_closed_form(PurePair(0.6, 0.8), "paper")
+    assert not has_closed_form(PurePair(0.6, 0.8), "physical")
+    fac = factors_at(NOISELESS, NoiseParams(0.1, 0.05), 5.0)
+    for resource in (PurePair(SQRT_HALF, SQRT_HALF), Werner(0.7)):
+        assert has_closed_form(resource, "physical")
+        report = fidelity_report(BlochAngles(1.0), resource, fac, convention="physical", mc_samples=1000)
+        assert report.average_quadrature == pytest.approx(report.average_analytic, abs=1e-10)
 
 
 # ------------------------------------------------------------------- numerics

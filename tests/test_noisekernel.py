@@ -107,6 +107,19 @@ def test_cumulative_decay_closed_form_values():
     assert high == pytest.approx(1.379128531314132, rel=1e-12)
 
 
+def test_closed_forms_do_not_overflow():
+    # (L*tau)^2 and L^2 leave float range here; the rate tends to 4*gamma/t
+    huge = NoiseParams(0.1, 1e300)
+    assert cumulative_decay(huge, 2.0) == pytest.approx(0.4 * np.log(2e300), rel=1e-15)
+    assert decay_rate(huge, 2.0) == pytest.approx(0.2, rel=1e-15)
+    assert decay_rate(huge, 1e-300) == pytest.approx(closed_rate(0.1, 1.0, 1.0) * 1e300, rel=1e-15)
+    # bit-identical up to the largest L*tau whose square is finite, continuous past it
+    edge = float(np.sqrt(np.finfo(float).max))
+    assert cumulative_decay(NoiseParams(0.1, edge), 1.0) == 0.2 * np.log1p(edge**2)
+    past = cumulative_decay(NoiseParams(0.1, np.nextafter(edge, np.inf)), 1.0)
+    assert past == pytest.approx(0.2 * np.log1p(edge**2), rel=1e-15)
+
+
 def test_cumulative_decay_quadrature_vs_closed_form_grid():
     for gamma in (0.05, 0.1, 0.5):
         for lam in (0.01, 0.2, 5.0):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dfsteleport.noisekernel import NoiseParams
+from dfsteleport.metrics import average_fts_numeric, bloch_fidelity_fn
+from dfsteleport.noisekernel import NoiseParams, factors_at
 from dfsteleport.optimizer import TimingProblem, maximize_timing, objective_fn, sweep
 from dfsteleport.protocol import PurePair, Werner
 
@@ -151,9 +152,11 @@ def test_monotone_envelope_in_noise_parameters():
 def test_quadrature_objective_matches_analytic():
     problem = pure_problem(0.8, 0.1, 0.05, (np.pi, 3.0 * np.pi))
     analytic = objective_fn(problem)
-    quad = objective_fn(problem, use_quadrature=True)
+    sender = NoiseParams(0.0, 1.0)
     for tau in (np.pi, 5.0, TWO_PI):
-        assert quad(tau) == pytest.approx(analytic(tau), abs=1e-8)
+        fac = factors_at(sender, problem.bob_noise, tau)
+        quad = average_fts_numeric(bloch_fidelity_fn(problem.resource, fac), "quadrature").value
+        assert quad == pytest.approx(analytic(tau), abs=1e-8)
 
 
 def test_physical_convention_objective_for_nonmaximal_pure():

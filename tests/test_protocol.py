@@ -19,7 +19,7 @@ from dfsteleport.protocol import (
     run_protocol,
     run_with_factors,
 )
-from dfsteleport.qlinalg import BlochAngles, PureKet, basis_ket, tensor
+from dfsteleport.qlinalg import BlochAngles, ContractViolationError, PureKet, basis_ket, tensor
 
 TWO_PI = 2.0 * np.pi
 NOISELESS = NoiseParams(gamma=0.0, lambda_c=1.0)
@@ -297,3 +297,20 @@ def test_corrections_are_unitary():
 def test_run_protocol_rejects_negative_tau():
     with pytest.raises(ValueError):
         run_protocol(BlochAngles(1.0), Werner(0.5), NOISELESS, NOISELESS, -1.0)
+
+
+def test_run_with_factors_rejects_hand_built_non_physical_factors():
+    # a valid factor grid whose eigenvalues include -1.24: the joint map is not
+    # positive, and the one checked construction of a run must still catch it
+    fac = DecoherenceFactors(f=1.0, g=-1.0, a=1.0, b=1.0, tau=0.0)
+    with pytest.raises(ContractViolationError):
+        run_with_factors(BlochAngles(np.pi / 2.0), PurePair(SQRT_HALF, SQRT_HALF), fac)
+
+
+def test_run_with_factors_branch_states_are_frozen():
+    fac = factors_at(NoiseParams(0.2, 0.3), NoiseParams(0.1, 0.5), 2.0)
+    run = run_with_factors(BlochAngles(1.0, 0.4), Werner(0.8), fac, Strategy.RETAIN_ALL)
+    for branch in run.branches:
+        for state in (branch.bob_paper_scaled, branch.bob_conditional, branch.bob_output):
+            with pytest.raises(ValueError):
+                state.mat[0, 0] = 0.0

@@ -70,6 +70,23 @@ def test_density_mat_is_frozen():
         rho.mat[0, 0] = 0.3
 
 
+def test_derived_states_are_frozen_without_a_recheck():
+    # projector, tensor and partial trace wrap their results unchecked; the
+    # arrays are frozen all the same
+    pair = bell_phi_plus().projector()
+    joint = tensor(basis_ket(2, 1).projector(), pair)
+    for state in (pair, joint, partial_trace(joint, keep=[0, 2])):
+        assert state.normalized
+        assert state.trace == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError):
+            state.mat[0, 0] = 0.3
+
+
+def test_projector_rejects_unsupported_dimension():
+    with pytest.raises(UnsupportedDimensionError):
+        basis_ket(16, 0).projector()
+
+
 # --------------------------------------------------------------------- tensor
 
 
