@@ -47,6 +47,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:  # e.g. an integer literal past Python's digit limit
+            raise ConfigError(f"{path}: {exc}") from exc
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.strategy is not None:

@@ -29,10 +29,9 @@ from .metrics import (
     bloch_fidelity_fn,
     chsh,
     concurrence,
-    has_closed_form,
 )
 from .noisekernel import DecoherenceFactors, NoiseParams, factors_at
-from .optimizer import TimingProblem, maximize_timing, sweep
+from .optimizer import TimingProblem, grid_points, maximize_timing, sweep
 from .protocol import (
     PurePair,
     ResourceSpec,
@@ -106,6 +105,9 @@ FIGURE_CONCURRENCE = 0.8
 FIGURE_TAU_MAX = 12.0 * math.pi
 FIGURE_POINTS = 1201
 
+# most tau points one sweep or optimize job may evaluate
+MAX_TAU_POINTS = 100_000
+
 
 class ConfigError(ValueError):
     """Invalid or unparseable experiment configuration."""
@@ -151,6 +153,12 @@ def _finite_number(val, where: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{where}: expected a finite number, got {val!r}")
     return x
+
+
+def _check_phases(tau: float, sender_omega0: float, receiver_omega0: float, where: str) -> None:
+    # factors_at turns the sender's 2*omega0*tau and the receiver's omega0*tau into phases
+    if not (math.isfinite(2.0 * (sender_omega0 * tau)) and math.isfinite(receiver_omega0 * tau)):
+        raise ConfigError(f"{where}: omega0 * tau is too large for a finite phase at tau = {tau!r}")
 
 
 def _require_number(obj: dict, key: str, context: str, default=None):
@@ -338,21 +346,19 @@ def _average_block(resource: ResourceSpec, factors: DecoherenceFactors,
     fn = bloch_fidelity_fn(resource, factors, convention)
     quad = average_fts_numeric(fn, "quadrature")
     mc = average_fts_numeric(fn, "montecarlo", samples=100_000, seed=seed)
-    block = {
+    return {
+        "analytic": float(average_fts_analytic(resource, factors.b, convention)),
         "quadrature": quad.value,
         "montecarlo": mc.value,
         "montecarlo_stderr": mc.stderr,
     }
-    block["analytic"] = (
-        float(average_fts_analytic(resource, factors.b)) if has_closed_form(resource, convention) else None
-    )
-    return block
 
 
 def run_report(config: ExperimentConfig) -> dict:
     """Full protocol-run report (JSON-ready dict)."""
     if config.tau is None:
         raise ConfigError("run requires a 'tau' field")
+    _check_phases(config.tau, config.alice_noise.omega0, config.bob_noise.omega0, "tau")
     factors = factors_at(config.alice_noise, config.bob_noise, config.tau)
     report = {
         "tool": "dfsteleport",
@@ -508,16 +514,27 @@ def figure_curve(which: int, panel: str) -> ResultTable:
     return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=rows, metadata=meta)
 
 
+def _timing_problem(config: ExperimentConfig, window: Tuple[float, float],
+                    n_points: int, field: str) -> TimingProblem:
+    """The job's timing problem; ``field`` is named if the job asks for too many tau points."""
+    if n_points > MAX_TAU_POINTS:
+        raise ConfigError(
+            f"{field}: asks for {n_points} tau points, more than the {MAX_TAU_POINTS} a job may evaluate")
+    # the objective's sender placeholder shares the receiver's omega0
+    _check_phases(window[1], config.bob_noise.omega0, config.bob_noise.omega0, "window")
+    return TimingProblem(
+        resource=config.resource,
+        bob_noise=config.bob_noise,
+        window=window,
+        convention=config.convention,
+    )
+
+
 def sweep_table(config: ExperimentConfig) -> ResultTable:
     """Average-fidelity curve over the config window."""
     if config.window is None:
         raise ConfigError("sweep requires a 'window' field")
-    problem = TimingProblem(
-        resource=config.resource,
-        bob_noise=config.bob_noise,
-        window=config.window,
-        convention=config.convention,
-    )
+    problem = _timing_problem(config, config.window, config.n_points, "n_points")
     curve = sweep(problem, config.n_points)
     meta = {
         "tool": "dfsteleport",
@@ -535,12 +552,7 @@ def optimize_report(config: ExperimentConfig, tol_tau: float = 1e-6) -> dict:
     if window is None:
         # tau = 0 trivially maximizes the envelope; start past it by default
         window = (math.pi, 4.0 * math.pi)
-    problem = TimingProblem(
-        resource=config.resource,
-        bob_noise=config.bob_noise,
-        window=window,
-        convention=config.convention,
-    )
+    problem = _timing_problem(config, window, grid_points(window), "window")
     solution = maximize_timing(problem, tol_tau)
     return {
         "tool": "dfsteleport",

@@ -10,7 +10,17 @@ input Bloch sphere gives the closed forms
 which the quadrature and Monte-Carlo averagers here exist to cross-check.
 For a non-maximal pure resource the trace-4p bookkeeping makes the pointwise
 value exceed one near the poles; the physical (unit-trace, retention-
-conditioned) convention stays within [0, 1] and is exposed alongside.
+conditioned) convention stays within [0, 1] and is exposed alongside.  It
+coincides with the paper's for Werner and balanced pure resources.  For a
+pure resource, u = cos^2(theta/2) is uniform over the sphere and the
+physical pointwise value 1 - u(1-u)(1 - C Re b) / (mu^2 + (lam^2 - mu^2) u)
+does not depend on phi, so with C = 2 mu lam and q = |lam^2 - mu^2|
+
+    physical pure:    F = 1 - (1 - C Re b) * J(q)
+    J(q) = [q - (1 - q^2) artanh(q)] / (2 q^3) = sum_k>=1 q^(2k-2) / (4k^2 - 1)
+
+with J(0) = 1/3 (the paper value) and J(1) = 1/2.  The direct form cancels
+as q -> 0, so small q takes the series.
 
 Concurrence goes through the Hermitian form sqrt(rho) * rho_tilde * sqrt(rho)
 (same spectrum as rho * rho_tilde, numerically stabler), and nonlocality uses
@@ -44,15 +54,11 @@ _MIN_MC_SAMPLES = 1000
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Pointwise and three-way-averaged fidelity in one convention.
-
-    ``average_analytic`` is None when no closed form exists (physical
-    convention with a non-maximal pure resource).
-    """
+    """Pointwise and three-way-averaged fidelity in one convention."""
 
     convention: str
     pointwise: float
-    average_analytic: Optional[float]
+    average_analytic: float
     average_quadrature: float
     average_montecarlo: float
     montecarlo_stderr: float
@@ -98,20 +104,28 @@ def average_fts_werner(p: float, b: complex) -> float:
     return (p / 3.0) * np.real(b) + p / 6.0 + 0.5
 
 
-def has_closed_form(resource: ResourceSpec, convention: str) -> bool:
-    """True when ``average_fts_analytic`` gives the Bloch average in ``convention``.
+def _average_fts_pure_physical(mu: float, lam: float, b: complex) -> float:
+    """Bloch-averaged fidelity for the pure resource in the physical convention."""
+    q = abs(lam**2 - mu**2)
+    if q >= 1.0:
+        j = 0.5
+    elif q < 0.2:
+        # the direct form cancels as q -> 0; 11 terms leave a tail below 1e-18 here
+        j = sum(q ** (2 * k - 2) / (4 * k * k - 1) for k in range(11, 0, -1))
+    else:
+        j = (q - (1.0 - q * q) * np.arctanh(q)) / (2.0 * q**3)
+    return 1.0 - (1.0 - 2.0 * np.real(mu * lam * b)) * j
 
-    The physical convention coincides with the paper's at flat branch
-    probabilities (Werner and balanced pure resources); a non-maximal pure
-    resource in the physical convention has no closed form.
+
+def average_fts_analytic(resource: ResourceSpec, b: complex, convention: str = "paper") -> float:
+    """Closed-form Bloch average of the retained-branch fidelity.
+
+    ``convention`` is "paper" or "physical", already checked where it entered
+    (``TimingProblem``, ``bloch_fidelity_fn``).
     """
-    return convention == "paper" or isinstance(resource, Werner) or (
-        isinstance(resource, PurePair) and abs(resource.mu - resource.lam) < 1e-12
-    )
-
-
-def average_fts_analytic(resource: ResourceSpec, b: complex) -> float:
     if isinstance(resource, PurePair):
+        if convention == "physical":
+            return _average_fts_pure_physical(resource.mu, resource.lam, b)
         return average_fts_pure(resource.mu, resource.lam, b)
     if isinstance(resource, Werner):
         return average_fts_werner(resource.p, b)
@@ -236,7 +250,7 @@ def fidelity_report(
     """Pointwise plus analytic/quadrature/Monte-Carlo averages in one convention."""
     fn = bloch_fidelity_fn(resource, factors, convention)
     pointwise = float(fn(np.array([input_state.theta]), np.array([input_state.phi]))[0])
-    analytic = average_fts_analytic(resource, factors.b) if has_closed_form(resource, convention) else None
+    analytic = float(average_fts_analytic(resource, factors.b, convention))
     quad = average_fts_numeric(fn, "quadrature")
     mc = average_fts_numeric(fn, "montecarlo", samples=mc_samples, seed=seed)
     return FidelityReport(

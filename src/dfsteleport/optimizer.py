@@ -22,7 +22,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .metrics import average_fts_analytic, average_fts_numeric, bloch_fidelity_fn, has_closed_form
+from .metrics import average_fts_analytic
 from .noisekernel import NoiseParams, factors_at
 from .protocol import ResourceSpec
 
@@ -64,23 +64,21 @@ def _alice_placeholder(bob: NoiseParams) -> NoiseParams:
 
 
 def objective_fn(problem: TimingProblem) -> Objective:
-    """Average fidelity as a function of tau.
-
-    The analytic closed form is used wherever one exists; the physical
-    convention for a non-maximal pure resource has none and goes through the
-    Bloch-quadrature average.
-    """
+    """Closed-form average fidelity in the problem's convention as a function of tau."""
     alice = _alice_placeholder(problem.bob_noise)
-    closed = has_closed_form(problem.resource, problem.convention)
 
     def fn(tau: float) -> float:
         fac = factors_at(alice, problem.bob_noise, tau)
-        if closed:
-            return float(average_fts_analytic(problem.resource, fac.b))
-        pointwise = bloch_fidelity_fn(problem.resource, fac, problem.convention)
-        return average_fts_numeric(pointwise, "quadrature").value
+        return float(average_fts_analytic(problem.resource, fac.b, problem.convention))
 
     return fn
+
+
+def grid_points(window: Tuple[float, float]) -> int:
+    """Number of tau points the grid stage of ``maximize_timing`` evaluates over ``window``."""
+    lo, hi = window
+    # clamped so that a window too wide to evaluate still gives a count a caller can reject
+    return max(int(math.ceil(min((hi - lo) / _MAX_GRID_STEP, 2.0**53))) + 1, 3)
 
 
 def sweep(problem: TimingProblem, n_points: int) -> np.ndarray:
@@ -115,10 +113,8 @@ def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolu
     """Global maximum of the average fidelity over the window, plus all local maxima."""
     if tol_tau <= 0.0:
         raise ValueError("tol_tau must be > 0")
-    lo, hi = problem.window
     fn = objective_fn(problem)
-    n_points = max(int(math.ceil((hi - lo) / _MAX_GRID_STEP)) + 1, 3)
-    grid = sweep(problem, n_points)
+    grid = sweep(problem, grid_points(problem.window))
     taus, values = grid[:, 0], grid[:, 1]
 
     candidates: list[Tuple[float, float]] = []

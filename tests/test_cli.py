@@ -326,6 +326,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text('{"resource": ')
     assert cli.main(["run", "--config", str(broken)]) == 2
+    # json refuses integer literals past Python's digit limit with a plain ValueError
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"seed": ' + "9" * 5000 + "}")
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(huge)]) == 2
+    assert f"config error: {huge}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -336,6 +342,10 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("sweep", {"window": ["a", 2]}, "window"),
         ("sweep", {"window": [0, math.inf]}, "window"),
         ("sweep", {"window": [False, True]}, "window"),
+        # finite, but the phases omega0*tau of the decoherence factors overflow
+        ("run", {"tau": 1e308}, "tau"),
+        ("run", {"tau": 1e300, "bob_noise": {"gamma": 0.1, "lambda_c": 0.01, "omega0": 1e9}}, "tau"),
+        ("sweep", {"window": [0, 1e308], "n_points": 2}, "window"),
     ],
 )
 def test_cli_rejects_non_finite_or_non_numeric_config_values(tmp_path, capsys, command, doc, field):
@@ -360,6 +370,7 @@ def test_cli_rejects_bad_tol_tau(tmp_path, capsys, tol):
     "doc",
     [
         {"tau": 1e200},
+        {"tau": 1e307},
         {"tau": 2.0, "bob_noise": {"gamma": 0.1, "lambda_c": 1e300}},
         {"tau": 2.0, "alice_noise": {"gamma": 0.1, "lambda_c": 1e300}},
     ],
@@ -375,6 +386,30 @@ def test_cli_run_survives_huge_decay_arguments(tmp_path, doc):
 
     report = json.loads(out.read_text(), parse_constant=reject)
     assert report["tau"] == doc["tau"]
+
+
+@pytest.mark.parametrize(
+    "command,doc,field",
+    [
+        ("optimize", {"window": [0, 1e300]}, "window"),
+        ("optimize", {"window": [0, 1e6]}, "window"),
+        ("optimize", {"window": [0, 8e307]}, "window"),
+        ("sweep", {"window": [0, 1], "n_points": 100_001}, "n_points"),
+        ("sweep", {"window": [0, 1], "n_points": 10**12}, "n_points"),
+    ],
+)
+def test_cli_caps_the_tau_points_of_a_job(tmp_path, monkeypatch, capsys, command, doc, field):
+    def never(*args, **kwargs):
+        raise AssertionError("the job ran")
+
+    monkeypatch.setattr(experiments, "sweep", never)
+    monkeypatch.setattr(experiments, "maximize_timing", never)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TABLE1_CONFIG, **doc}))
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err and str(experiments.MAX_TAU_POINTS) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_numeric_error_exit_code(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from conftest import random_bloch, random_density, random_pure_pair, random_unitary, random_werner
 
 from dfsteleport.metrics import (
+    _average_fts_pure_physical,
+    average_fts_analytic,
     average_fts_numeric,
     average_fts_pure,
     average_fts_werner,
@@ -12,7 +15,6 @@ from dfsteleport.metrics import (
     concurrence,
     fidelity_pointwise,
     fidelity_report,
-    has_closed_form,
 )
 from dfsteleport.noisekernel import DecoherenceFactors, NoiseParams, factors_at
 from dfsteleport.protocol import PurePair, Werner, resource_state
@@ -126,14 +128,64 @@ def test_average_fts_input_domain_checks():
         average_fts_werner(1.4, 1.0)
 
 
-def test_has_closed_form_where_the_conventions_coincide():
-    assert has_closed_form(PurePair(0.6, 0.8), "paper")
-    assert not has_closed_form(PurePair(0.6, 0.8), "physical")
+def test_physical_average_coincides_with_paper_for_werner_and_balanced_pairs():
     fac = factors_at(NOISELESS, NoiseParams(0.1, 0.05), 5.0)
     for resource in (PurePair(SQRT_HALF, SQRT_HALF), Werner(0.7)):
-        assert has_closed_form(resource, "physical")
+        paper = average_fts_analytic(resource, fac.b, "paper")
+        assert average_fts_analytic(resource, fac.b, "physical") == pytest.approx(paper, abs=1e-15)
         report = fidelity_report(BlochAngles(1.0), resource, fac, convention="physical", mc_samples=1000)
         assert report.average_quadrature == pytest.approx(report.average_analytic, abs=1e-10)
+    # an unbalanced pure pair is where the two conventions part
+    pair = PurePair(0.6, 0.8)
+    assert average_fts_analytic(pair, fac.b, "physical") != pytest.approx(
+        average_fts_analytic(pair, fac.b, "paper"), abs=1e-3)
+
+
+PHYSICAL_B = 0.83 * np.exp(-0.7j)
+
+
+@pytest.mark.parametrize("c", [0.05, 0.2, 0.5, 0.8, 0.95, 1.0])
+def test_physical_average_matches_bloch_quadrature(c):
+    pair = PurePair.from_concurrence(c)
+    fn = bloch_fidelity_fn(pair, factors_with_b(PHYSICAL_B), "physical")
+    want = average_fts_numeric(fn, "quadrature").value
+    assert average_fts_analytic(pair, PHYSICAL_B, "physical") == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-6, 1e-3, 0.05, 0.3, 0.6, 0.9, 0.99, 0.9999, 1.0])
+def test_physical_average_matches_one_dimensional_integral(c):
+    # u = cos^2(theta/2) is uniform on [0, 1] and the pointwise value does not depend on phi
+    pair = PurePair.from_concurrence(c)
+    mu, lam, re_b = pair.mu, pair.lam, PHYSICAL_B.real
+
+    def integrand(u):
+        return 1.0 - u * (1.0 - u) * (1.0 - 2.0 * mu * lam * re_b) / (mu**2 + (lam**2 - mu**2) * u)
+
+    want, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-14)
+    assert average_fts_analytic(pair, PHYSICAL_B, "physical") == pytest.approx(want, abs=1e-10)
+
+
+def test_physical_average_limits_and_symmetry():
+    for b in (1.0, PHYSICAL_B, -0.4j):
+        assert average_fts_analytic(PurePair.from_concurrence(0.0), b, "physical") == 0.5
+        assert _average_fts_pure_physical(1.0, 0.0, b) == 0.5
+        for c in (0.1, 0.5, 0.8, 0.99, 1.0):
+            pair = PurePair.from_concurrence(c)
+            assert _average_fts_pure_physical(pair.mu, pair.lam, b) == pytest.approx(
+                _average_fts_pure_physical(pair.lam, pair.mu, b), abs=1e-15)
+
+
+def test_physical_average_series_and_direct_form_meet():
+    # the series takes over below q = |lam^2 - mu^2| = 0.2; on both sides of the switch
+    # the value agrees with the direct form and with the series alike
+    for q_target in (0.2 * (1.0 - 1e-12), 0.2, 0.2 * (1.0 + 1e-12)):
+        mu, lam = np.sqrt((1.0 - q_target) / 2.0), np.sqrt((1.0 + q_target) / 2.0)
+        q = abs(lam**2 - mu**2)
+        direct = (q - (1.0 - q * q) * np.arctanh(q)) / (2.0 * q**3)
+        series = sum(q ** (2 * k - 2) / (4 * k * k - 1) for k in range(1, 30))
+        got = _average_fts_pure_physical(mu, lam, PHYSICAL_B)
+        for j in (direct, series):
+            assert got == pytest.approx(1.0 - (1.0 - 2.0 * mu * lam * PHYSICAL_B.real) * j, abs=1e-14)
 
 
 # ------------------------------------------------------------------- numerics
@@ -210,16 +262,16 @@ def test_fidelity_report_conventions():
     pair = PurePair(0.6, 0.8)
     ang = BlochAngles(theta=1.0, phi=0.2)
     paper = fidelity_report(ang, pair, fac, seed=11)
-    assert paper.average_analytic is not None
     assert paper.average_quadrature == pytest.approx(paper.average_analytic, abs=1e-8)
     assert abs(paper.average_montecarlo - paper.average_analytic) <= 3.0 * paper.montecarlo_stderr
     phys = fidelity_report(ang, pair, fac, convention="physical", seed=11)
-    assert phys.average_analytic is None
+    assert phys.average_analytic == pytest.approx(phys.average_quadrature, abs=1e-12)
+    assert abs(phys.average_analytic - paper.average_analytic) > 1e-4
+    assert abs(phys.average_montecarlo - phys.average_analytic) <= 3.0 * phys.montecarlo_stderr
     assert 0.0 <= phys.average_quadrature <= 1.0 + 1e-9
     assert 0.0 <= phys.pointwise <= 1.0 + 1e-9
     # Werner: conventions coincide and the closed form stays available
     wreport = fidelity_report(ang, Werner(0.8), fac, convention="physical", seed=11)
-    assert wreport.average_analytic is not None
     assert wreport.average_quadrature == pytest.approx(wreport.average_analytic, abs=1e-8)
 
 

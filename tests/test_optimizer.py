@@ -150,13 +150,15 @@ def test_monotone_envelope_in_noise_parameters():
 
 
 def test_quadrature_objective_matches_analytic():
-    problem = pure_problem(0.8, 0.1, 0.05, (np.pi, 3.0 * np.pi))
-    analytic = objective_fn(problem)
     sender = NoiseParams(0.0, 1.0)
-    for tau in (np.pi, 5.0, TWO_PI):
-        fac = factors_at(sender, problem.bob_noise, tau)
-        quad = average_fts_numeric(bloch_fidelity_fn(problem.resource, fac), "quadrature").value
-        assert quad == pytest.approx(analytic(tau), abs=1e-8)
+    for convention in ("paper", "physical"):
+        problem = TimingProblem(PurePair.from_concurrence(0.8), NoiseParams(0.1, 0.05),
+                                (np.pi, 3.0 * np.pi), convention)
+        analytic = objective_fn(problem)
+        for tau in (np.pi, 5.0, TWO_PI):
+            fac = factors_at(sender, problem.bob_noise, tau)
+            quad = average_fts_numeric(bloch_fidelity_fn(problem.resource, fac, convention), "quadrature").value
+            assert quad == pytest.approx(analytic(tau), abs=1e-8)
 
 
 def test_physical_convention_objective_for_nonmaximal_pure():
