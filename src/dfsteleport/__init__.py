@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .channels import FactorMatrix, alice_factor_matrix, apply_channel, bob_factor_matrix, joint_evolve
 from .metrics import (
-    FidelityReport,
     NonlocalityReport,
     average_fts_numeric,
     average_fts_pure,
@@ -22,7 +21,6 @@ from .metrics import (
     chsh,
     concurrence,
     fidelity_pointwise,
-    fidelity_report,
 )
 from .noisekernel import (
     DecoherenceFactors,
@@ -32,6 +30,7 @@ from .noisekernel import (
     decay_rate,
     factors_at,
     phase_integral,
+    receiver_factor,
     spectral_density,
 )
 from .optimizer import TimingProblem, TimingSolution, maximize_timing, sweep
@@ -56,25 +55,23 @@ from .qlinalg import (
     UnsupportedDimensionError,
     eig_hermitian,
     mat_sqrt_psd,
-    partial_trace,
     tensor,
 )
 
 __all__ = [
     "__version__",
     "BlochAngles", "ContractViolationError", "DensityOp", "PureKet",
-    "UnsupportedDimensionError", "eig_hermitian", "mat_sqrt_psd",
-    "partial_trace", "tensor",
+    "UnsupportedDimensionError", "eig_hermitian", "mat_sqrt_psd", "tensor",
     "DecoherenceFactors", "NoiseParams", "NumericAccuracyError",
     "cumulative_decay", "decay_rate", "factors_at", "phase_integral",
-    "spectral_density",
+    "receiver_factor", "spectral_density",
     "FactorMatrix", "alice_factor_matrix", "apply_channel",
     "bob_factor_matrix", "joint_evolve",
     "BellOutcome", "BranchResult", "ProtocolRun", "PurePair", "Strategy",
     "Werner", "analytic_branch_states", "build_joint", "resource_state",
     "run_protocol", "run_with_factors",
-    "FidelityReport", "NonlocalityReport", "average_fts_numeric",
-    "average_fts_pure", "average_fts_werner", "bloch_fidelity_fn", "chsh",
-    "concurrence", "fidelity_pointwise", "fidelity_report",
+    "NonlocalityReport", "average_fts_numeric", "average_fts_pure",
+    "average_fts_werner", "bloch_fidelity_fn", "chsh", "concurrence",
+    "fidelity_pointwise",
     "TimingProblem", "TimingSolution", "maximize_timing", "sweep",
 ]

@@ -54,10 +54,6 @@ class FactorMatrix:
         return self.factors.shape[0]
 
 
-def identity_factor_matrix(dim: int) -> FactorMatrix:
-    return FactorMatrix(np.ones((dim, dim), dtype=complex))
-
-
 def alice_factor_matrix(fac: DecoherenceFactors) -> FactorMatrix:
     """Common-bath factor matrix on the sender's two qubits."""
     f, g, a = fac.f, fac.g, fac.a

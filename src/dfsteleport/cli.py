@@ -3,7 +3,7 @@
 Subcommands: run, table, figure, optimize, sweep.  Configs are JSON documents
 (omega0 units throughout); tables and figure curves are emitted as CSV, run
 and optimization reports as JSON.  Exit codes: 0 success, 2 configuration
-error, 3 numeric-accuracy failure.
+or file error, 3 numeric-accuracy failure.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         path = Path(args.config)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             doc = json.loads(text)
@@ -72,7 +72,10 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

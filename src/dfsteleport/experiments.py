@@ -105,6 +105,11 @@ FIGURE_CONCURRENCE = 0.8
 FIGURE_TAU_MAX = 12.0 * math.pi
 FIGURE_POINTS = 1201
 
+_RESOURCE_FIELDS = {
+    "pure": ("kind", "concurrence", "mu", "lambda"),
+    "werner": ("kind", "concurrence", "p"),
+}
+
 # most tau points one sweep or optimize job may evaluate
 MAX_TAU_POINTS = 100_000
 
@@ -161,6 +166,12 @@ def _check_phases(tau: float, sender_omega0: float, receiver_omega0: float, wher
         raise ConfigError(f"{where}: omega0 * tau is too large for a finite phase at tau = {tau!r}")
 
 
+def _reject_unknown(obj: dict, known, context: str) -> None:
+    unknown = set(obj) - set(known)
+    if unknown:
+        raise ConfigError(f"{context}: unknown fields {sorted(unknown)}")
+
+
 def _require_number(obj: dict, key: str, context: str, default=None):
     if key not in obj:
         if default is not None:
@@ -174,6 +185,7 @@ def _parse_noise(obj, context: str, default: NoiseParams) -> NoiseParams:
         return default
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object, got {obj!r}")
+    _reject_unknown(obj, ("gamma", "lambda_c", "temperature", "omega0"), context)
     try:
         return NoiseParams(
             gamma=_require_number(obj, "gamma", context),
@@ -189,34 +201,29 @@ def _parse_resource(obj, context: str = "resource") -> ResourceSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{context}: expected an object with a 'kind' field")
     kind = obj["kind"]
+    if kind not in ("pure", "werner"):
+        raise ConfigError(f"{context}.kind: expected 'pure' or 'werner', got {kind!r}")
+    _reject_unknown(obj, _RESOURCE_FIELDS[kind], context)
     try:
+        if "concurrence" in obj:
+            cls = PurePair if kind == "pure" else Werner
+            return cls.from_concurrence(_require_number(obj, "concurrence", context))
         if kind == "pure":
-            if "concurrence" in obj:
-                return PurePair.from_concurrence(_require_number(obj, "concurrence", context))
             return PurePair(
                 mu=_require_number(obj, "mu", context),
                 lam=_require_number(obj, "lambda", context),
             )
-        if kind == "werner":
-            if "concurrence" in obj:
-                return Werner.from_concurrence(_require_number(obj, "concurrence", context))
-            return Werner(p=_require_number(obj, "p", context))
+        return Werner(p=_require_number(obj, "p", context))
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
-    raise ConfigError(f"{context}.kind: expected 'pure' or 'werner', got {kind!r}")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Validate a JSON config document; raises ConfigError naming the bad field."""
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    known = {
-        "resource", "alice_noise", "bob_noise", "tau", "window",
-        "input", "strategy", "convention", "seed", "n_points",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    _reject_unknown(doc, ("resource", "alice_noise", "bob_noise", "tau", "window",
+                          "input", "strategy", "convention", "seed", "n_points"), "config")
 
     resource = _parse_resource(doc.get("resource", {"kind": "pure", "concurrence": 1.0}))
     alice = _parse_noise(doc.get("alice_noise"), "alice_noise", DEFAULT_ALICE)
@@ -242,6 +249,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if input_obj == "average":
         input_state = None
     elif isinstance(input_obj, dict):
+        _reject_unknown(input_obj, ("theta", "phi"), "input")
         try:
             input_state = BlochAngles(
                 theta=_require_number(input_obj, "theta", "input"),
@@ -520,7 +528,7 @@ def _timing_problem(config: ExperimentConfig, window: Tuple[float, float],
     if n_points > MAX_TAU_POINTS:
         raise ConfigError(
             f"{field}: asks for {n_points} tau points, more than the {MAX_TAU_POINTS} a job may evaluate")
-    # the objective's sender placeholder shares the receiver's omega0
+    # a window end keeps a run tau's phase bound, with both wings at the receiver's omega0
     _check_phases(window[1], config.bob_noise.omega0, config.bob_noise.omega0, "window")
     return TimingProblem(
         resource=config.resource,

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .noisekernel import DecoherenceFactors
-from .protocol import PurePair, ResourceSpec, Werner
+from .protocol import PurePair, ResourceSpec, Werner, _branch_elements
 from .qlinalg import (
     PAULIS,
     SIGMA_Y,
@@ -50,18 +50,6 @@ from .qlinalg import (
 PointwiseFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _MIN_MC_SAMPLES = 1000
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """Pointwise and three-way-averaged fidelity in one convention."""
-
-    convention: str
-    pointwise: float
-    average_analytic: float
-    average_quadrature: float
-    average_montecarlo: float
-    montecarlo_stderr: float
 
 
 @dataclass(frozen=True)
@@ -145,53 +133,30 @@ def bloch_fidelity_fn(
     """
     if convention not in ("paper", "physical"):
         raise ValueError(f"unknown convention {convention!r}")
+    if not isinstance(resource, (PurePair, Werner)):
+        raise TypeError(f"unknown resource spec {resource!r}")
     b = factors.b
+    # Werner branch states already have unit trace
+    normalize = convention == "physical" and isinstance(resource, PurePair)
 
-    if isinstance(resource, PurePair):
-        mu, lam = resource.mu, resource.lam
+    def fn(theta, phi):
+        theta = np.asarray(theta, dtype=float)
+        phi = np.asarray(phi, dtype=float)
+        alpha = np.cos(theta / 2.0)
+        beta = np.sin(theta / 2.0) * np.exp(1j * phi)
+        m00, m11, m01 = _branch_elements(resource, alpha, beta, b)
+        # <in| X rho X |in>: the sigma_x correction swaps the diagonal and conjugates m01
+        val = (
+            alpha**2 * m11
+            + np.abs(beta) ** 2 * m00
+            + 2.0 * np.real(alpha * np.conj(beta) * m01)
+        )
+        if normalize:
+            trace = m11 + m00
+            val = np.where(trace > 0.0, val / np.where(trace > 0.0, trace, 1.0), np.nan)
+        return val
 
-        def fn(theta, phi):
-            theta = np.asarray(theta, dtype=float)
-            phi = np.asarray(phi, dtype=float)
-            alpha = np.cos(theta / 2.0)
-            beta = np.sin(theta / 2.0) * np.exp(1j * phi)
-            # corrected psi-branch elements in the trace-4p convention
-            m00 = 2.0 * lam**2 * np.abs(alpha) ** 2
-            m11 = 2.0 * mu**2 * np.abs(beta) ** 2
-            m01 = 2.0 * mu * lam * alpha * np.conj(beta) * np.conj(b)
-            val = (
-                np.abs(alpha) ** 2 * m00
-                + np.abs(beta) ** 2 * m11
-                + 2.0 * np.real(np.conj(alpha) * beta * m01)
-            )
-            if convention == "physical":
-                trace = m00 + m11
-                val = np.where(trace > 0.0, val / np.where(trace > 0.0, trace, 1.0), np.nan)
-            return val
-
-        return fn
-
-    if isinstance(resource, Werner):
-        p = resource.p
-
-        def fn(theta, phi):
-            theta = np.asarray(theta, dtype=float)
-            phi = np.asarray(phi, dtype=float)
-            alpha = np.cos(theta / 2.0)
-            beta = np.sin(theta / 2.0) * np.exp(1j * phi)
-            pop = 0.5 + 0.5 * p * (np.abs(alpha) ** 2 - np.abs(beta) ** 2)
-            m00 = pop
-            m11 = 1.0 - pop
-            m01 = p * alpha * np.conj(beta) * np.conj(b)
-            return (
-                np.abs(alpha) ** 2 * m00
-                + np.abs(beta) ** 2 * m11
-                + 2.0 * np.real(np.conj(alpha) * beta * m01)
-            )
-
-        return fn
-
-    raise TypeError(f"unknown resource spec {resource!r}")
+    return fn
 
 
 def average_fts_numeric(
@@ -236,31 +201,6 @@ def average_fts_numeric(
             stderr *= 2.0
         return NumericAverage(value=value, stderr=stderr, method="montecarlo", samples=samples, widened=widened)
     raise ValueError(f"unknown method {method!r}")
-
-
-def fidelity_report(
-    input_state: BlochAngles,
-    resource: ResourceSpec,
-    factors: DecoherenceFactors,
-    *,
-    convention: str = "paper",
-    mc_samples: int = 100_000,
-    seed: int | np.random.Generator = 0,
-) -> FidelityReport:
-    """Pointwise plus analytic/quadrature/Monte-Carlo averages in one convention."""
-    fn = bloch_fidelity_fn(resource, factors, convention)
-    pointwise = float(fn(np.array([input_state.theta]), np.array([input_state.phi]))[0])
-    analytic = float(average_fts_analytic(resource, factors.b, convention))
-    quad = average_fts_numeric(fn, "quadrature")
-    mc = average_fts_numeric(fn, "montecarlo", samples=mc_samples, seed=seed)
-    return FidelityReport(
-        convention=convention,
-        pointwise=pointwise,
-        average_analytic=analytic,
-        average_quadrature=quad.value,
-        average_montecarlo=mc.value,
-        montecarlo_stderr=mc.stderr if mc.stderr is not None else float("nan"),
-    )
 
 
 def concurrence(rho: DensityOp) -> float:

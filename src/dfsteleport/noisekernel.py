@@ -276,13 +276,19 @@ def factors_at(alice: NoiseParams, bob: NoiseParams, tau: float, method: str = "
     """
     g_alice = cumulative_decay(alice, tau, method=method)
     p_alice = phase_integral(alice, tau, method=method)
-    g_bob = cumulative_decay(bob, tau, method=method)
     wa = alice.omega0 * tau
-    wb = bob.omega0 * tau
     return DecoherenceFactors(
         f=np.exp(complex(-g_alice, -wa + p_alice)),
         g=np.exp(complex(-g_alice, +wa + p_alice)),
         a=np.exp(complex(-4.0 * g_alice, -2.0 * wa)),
-        b=np.exp(complex(-g_bob, -wb)),
+        b=receiver_factor(bob, tau, method=method),
         tau=tau,
     )
+
+
+def receiver_factor(bob: NoiseParams, tau: float, method: str = "auto") -> complex:
+    """Receiver coherence factor b = exp(-i*w0*tau - H) on its own.
+
+    The retained fidelity and the timing objective depend on no other factor.
+    """
+    return np.exp(complex(-cumulative_decay(bob, tau, method=method), -bob.omega0 * tau))

@@ -3,9 +3,10 @@
 The sender picks the Bell-measurement instant from pre-shared knowledge of the
 receiver's bath, so the objective is the average fidelity as a function of tau
 for a fixed resource and receiver noise; the sender's own bath never enters
-it.  The cosine factor puts maxima near (just below) even multiples of pi,
-where the decaying envelope shifts each stationary point slightly earlier, so
-reported optima are exact stationary points rather than the 2*n*pi landmarks.
+it, and the objective evaluates only the receiver's factor b.  The cosine
+factor puts maxima near (just below) even multiples of pi, where the decaying
+envelope shifts each stationary point slightly earlier, so reported optima are
+exact stationary points rather than the 2*n*pi landmarks.
 
 ``maximize_timing`` brackets every interior local maximum on a dense grid
 (step at most pi/50) and refines each bracket by golden-section search; the
@@ -23,7 +24,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .metrics import average_fts_analytic
-from .noisekernel import NoiseParams, factors_at
+from .noisekernel import NoiseParams, receiver_factor
 from .protocol import ResourceSpec
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -58,18 +59,12 @@ class TimingSolution:
     grid: np.ndarray  # columns (tau, fidelity)
 
 
-def _alice_placeholder(bob: NoiseParams) -> NoiseParams:
-    # the objective is sender-noise-free; any valid sender params will do
-    return NoiseParams(gamma=0.0, lambda_c=1.0, temperature=0.0, omega0=bob.omega0)
-
-
 def objective_fn(problem: TimingProblem) -> Objective:
     """Closed-form average fidelity in the problem's convention as a function of tau."""
-    alice = _alice_placeholder(problem.bob_noise)
 
     def fn(tau: float) -> float:
-        fac = factors_at(alice, problem.bob_noise, tau)
-        return float(average_fts_analytic(problem.resource, fac.b, problem.convention))
+        b = receiver_factor(problem.bob_noise, tau)
+        return float(average_fts_analytic(problem.resource, b, problem.convention))
 
     return fn
 
@@ -110,7 +105,13 @@ def _golden_max(fn: Objective, lo: float, hi: float, tol: float) -> Tuple[float,
 
 
 def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolution:
-    """Global maximum of the average fidelity over the window, plus all local maxima."""
+    """Global maximum of the average fidelity over the window, plus all local maxima.
+
+    A grid point that ties both neighbours within ``_TIE_TOL`` is kept as it
+    is: its bracket is flat to the objective's precision.  Golden-section
+    search compares objective values, so on a near-flat maximum ``tol_tau``
+    holds only as far as the values differ.
+    """
     if tol_tau <= 0.0:
         raise ValueError("tol_tau must be > 0")
     fn = objective_fn(problem)
@@ -121,9 +122,11 @@ def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolu
     local_maxima: list[Tuple[float, float]] = []
     for i in range(1, len(taus) - 1):
         if values[i] >= values[i - 1] and values[i] >= values[i + 1]:
-            tau_ref, f_ref = _golden_max(fn, taus[i - 1], taus[i + 1], tol_tau)
-            if f_ref < values[i]:  # refinement must never lose to its own bracket
-                tau_ref, f_ref = taus[i], values[i]
+            tau_ref, f_ref = taus[i], values[i]
+            if values[i] - min(values[i - 1], values[i + 1]) > _TIE_TOL * max(1.0, abs(values[i])):
+                tau_gs, f_gs = _golden_max(fn, taus[i - 1], taus[i + 1], tol_tau)
+                if f_gs >= values[i]:  # refinement must never lose to its own bracket
+                    tau_ref, f_ref = tau_gs, f_gs
             local_maxima.append((tau_ref, f_ref))
             candidates.append((tau_ref, f_ref))
     candidates.append((taus[0], values[0]))

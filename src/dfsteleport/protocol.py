@@ -143,14 +143,6 @@ class Strategy(enum.Enum):
     RETAIN_ALL = "retain-all"
 
 
-def bell_ket(outcome: BellOutcome) -> PureKet:
-    return PureKet(_BELL_AMPS[outcome])
-
-
-def correction_unitary(outcome: BellOutcome) -> np.ndarray:
-    return _CORRECTIONS[outcome].copy()
-
-
 @dataclass(frozen=True)
 class BranchResult:
     """One Bell-measurement outcome.
@@ -317,6 +309,29 @@ def run_protocol(
     return dataclasses.replace(run, alice_noise=alice_noise, bob_noise=bob_noise, tau=tau)
 
 
+def _branch_elements(resource: ResourceSpec, alpha, beta, coherence):
+    """``(m00, m11, m01)`` of the psi-plus receiver state before correction.
+
+    Amplitudes may be scalars or arrays.  ``coherence`` is the receiver's
+    factor b alone: the common bath leaves the up-down/down-up block the psi
+    outcomes project onto untouched.  The phi-plus state is the same table
+    with the amplitudes swapped and coherence a*b.  The minus outcomes negate
+    m01.  Pure resource: trace 4p; Werner resource: unit trace.
+    """
+    if isinstance(resource, PurePair):
+        mu, lam = resource.mu, resource.lam
+        return (
+            2.0 * mu**2 * np.abs(beta) ** 2,
+            2.0 * lam**2 * np.abs(alpha) ** 2,
+            2.0 * mu * lam * np.conj(alpha) * beta * coherence,
+        )
+    if isinstance(resource, Werner):
+        p = resource.p
+        pop = 0.5 + 0.5 * p * (np.abs(alpha) ** 2 - np.abs(beta) ** 2)
+        return 1.0 - pop, pop, p * np.conj(alpha) * beta * coherence
+    raise TypeError(f"unknown resource spec {resource!r}")
+
+
 def analytic_branch_states(
     input_state: BlochAngles,
     resource: ResourceSpec,
@@ -328,55 +343,11 @@ def analytic_branch_states(
     trace (the flat quarter probability makes the two conventions coincide).
     """
     alpha, beta = input_state.alpha, input_state.beta
-    a, b = factors.a, factors.b
+    phi = _branch_elements(resource, beta, alpha, factors.a * factors.b)
+    psi = _branch_elements(resource, alpha, beta, factors.b)
     out: Dict[BellOutcome, DensityOp] = {}
-    if isinstance(resource, PurePair):
-        mu, lam = resource.mu, resource.lam
-        diag_phi = (2.0 * mu**2 * abs(alpha) ** 2, 2.0 * lam**2 * abs(beta) ** 2)
-        coh_phi = 2.0 * mu * lam * alpha * np.conj(beta) * a * b
-        diag_psi = (2.0 * mu**2 * abs(beta) ** 2, 2.0 * lam**2 * abs(alpha) ** 2)
-        coh_psi = 2.0 * mu * lam * np.conj(alpha) * beta * b
-        for outcome, sign in (
-            (BellOutcome.PHI_PLUS, 1.0),
-            (BellOutcome.PHI_MINUS, -1.0),
-        ):
-            m = np.array(
-                [[diag_phi[0], sign * coh_phi], [sign * np.conj(coh_phi), diag_phi[1]]],
-                dtype=complex,
-            )
-            out[outcome] = DensityOp(m, normalized=False)
-        for outcome, sign in (
-            (BellOutcome.PSI_PLUS, 1.0),
-            (BellOutcome.PSI_MINUS, -1.0),
-        ):
-            m = np.array(
-                [[diag_psi[0], sign * coh_psi], [sign * np.conj(coh_psi), diag_psi[1]]],
-                dtype=complex,
-            )
-            out[outcome] = DensityOp(m, normalized=False)
-        return out
-    if isinstance(resource, Werner):
-        p = resource.p
-        pop = 0.5 + 0.5 * p * (abs(alpha) ** 2 - abs(beta) ** 2)
-        p_up_down = p * alpha * np.conj(beta) * a * b
-        q_up_down = p * np.conj(alpha) * beta * b
-        for outcome, sign in (
-            (BellOutcome.PHI_PLUS, 1.0),
-            (BellOutcome.PHI_MINUS, -1.0),
-        ):
-            m = np.array(
-                [[pop, sign * p_up_down], [sign * np.conj(p_up_down), 1.0 - pop]],
-                dtype=complex,
-            )
-            out[outcome] = DensityOp(m)
-        for outcome, sign in (
-            (BellOutcome.PSI_PLUS, 1.0),
-            (BellOutcome.PSI_MINUS, -1.0),
-        ):
-            m = np.array(
-                [[1.0 - pop, sign * q_up_down], [sign * np.conj(q_up_down), pop]],
-                dtype=complex,
-            )
-            out[outcome] = DensityOp(m)
-        return out
-    raise TypeError(f"unknown resource spec {resource!r}")
+    signs = (1.0, -1.0, 1.0, -1.0)
+    for outcome, (m00, m11, m01), sign in zip(BELL_ORDER, (phi, phi, psi, psi), signs):
+        m = np.array([[m00, sign * m01], [sign * np.conj(m01), m11]], dtype=complex)
+        out[outcome] = DensityOp(m, normalized=isinstance(resource, Werner))
+    return out

@@ -9,8 +9,8 @@ these are comfortable for double precision at the 8x8 sizes handled here.
 Values are validated once, where they enter the package: a ``DensityOp`` or
 ``PureKet`` that a caller builds runs every structural and spectral check.  A
 state the package derives from checked states through a map that preserves
-Hermiticity, trace and positivity (a projector, a tensor product, a partial
-trace, a Bell-branch projection) is wrapped by ``_unchecked`` without a second
+Hermiticity, trace and positivity (a projector, a tensor product, a Bell-branch
+projection) is wrapped by ``_unchecked`` without a second
 eigen-solve.  Values are immutable either way (the wrapped arrays are frozen),
 so everything in this module is safe to share across parallel workers.
 """
@@ -161,13 +161,6 @@ class BlochAngles:
         return PureKet(np.array([self.alpha, self.beta]))
 
 
-def basis_ket(dim: int, index: int) -> PureKet:
-    """Computational basis ket; index counts binary with spin-up = 0."""
-    amps = np.zeros(dim, dtype=complex)
-    amps[index] = 1.0
-    return PureKet(amps)
-
-
 def tensor(a: DensityOp | PureKet, b: DensityOp | PureKet) -> DensityOp | PureKet:
     """Kronecker product of two states of the same kind (left factor varies slowest)."""
     if isinstance(a, DensityOp) and isinstance(b, DensityOp):
@@ -179,22 +172,6 @@ def tensor(a: DensityOp | PureKet, b: DensityOp | PureKet) -> DensityOp | PureKe
     if isinstance(a, PureKet) and isinstance(b, PureKet):
         return PureKet(np.kron(a.amps, b.amps))
     raise TypeError("tensor operands must both be DensityOp or both PureKet")
-
-
-def partial_trace(rho: DensityOp, keep: Iterable[int]) -> DensityOp:
-    """Reduced state on the qubits in ``keep`` (0 = leftmost tensor factor)."""
-    keep_list = sorted(set(int(k) for k in keep))
-    n = rho.n_qubits
-    if not keep_list:
-        raise ValueError("keep set must be nonempty")
-    if keep_list[0] < 0 or keep_list[-1] >= n:
-        raise ValueError(f"keep={keep_list} outside qubit range 0..{n - 1}")
-    traced = [q for q in range(n) if q not in keep_list]
-    t = rho.mat.reshape((2,) * (2 * n))
-    for q in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
-    d = 2 ** len(keep_list)
-    return _unchecked(t.reshape(d, d), rho.normalized)
 
 
 def eig_hermitian(m: np.ndarray | DensityOp) -> Tuple[np.ndarray, np.ndarray]:

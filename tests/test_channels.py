@@ -8,7 +8,6 @@ from dfsteleport.channels import (
     alice_factor_matrix,
     apply_channel,
     bob_factor_matrix,
-    identity_factor_matrix,
     joint_evolve,
 )
 from dfsteleport.noisekernel import NoiseParams, cumulative_decay, factors_at
@@ -16,6 +15,8 @@ from dfsteleport.qlinalg import DensityOp, PureKet
 
 TWO_PI = 2.0 * np.pi
 NOISELESS = NoiseParams(gamma=0.0, lambda_c=1.0)
+UNIT2 = FactorMatrix(np.ones((2, 2)))
+UNIT4 = FactorMatrix(np.ones((4, 4)))
 
 
 def factors(alice_gamma=0.1, alice_lam=0.1, bob_gamma=0.1, bob_lam=0.01, tau=TWO_PI, temps=(0.0, 0.0)):
@@ -89,7 +90,7 @@ def test_bob_factor_matrix_values():
 def test_apply_channel_identity_factors():
     rng = np.random.default_rng(2)
     rho = random_density(rng, 4)
-    out = apply_channel(rho, identity_factor_matrix(4))
+    out = apply_channel(rho, UNIT4)
     assert np.array_equal(out.mat, rho.mat)
 
 
@@ -112,7 +113,7 @@ def test_apply_channel_bell_state_scaling():
 
 def test_apply_channel_dimension_mismatch():
     with pytest.raises(ValueError):
-        apply_channel(DensityOp(np.eye(2) / 2.0), identity_factor_matrix(4))
+        apply_channel(DensityOp(np.eye(2) / 2.0), UNIT4)
 
 
 def test_apply_channel_preserves_trace_and_populations():
@@ -161,7 +162,7 @@ def test_alice_channel_is_completely_positive():
 def test_joint_evolve_identity():
     rng = np.random.default_rng(4)
     rho = random_density(rng, 8)
-    out = joint_evolve(rho, identity_factor_matrix(4), identity_factor_matrix(2))
+    out = joint_evolve(rho, UNIT4, UNIT2)
     assert np.array_equal(out.mat, rho.mat)
 
 
@@ -197,4 +198,4 @@ def test_joint_evolve_dfs_block_untouched():
 
 def test_joint_evolve_dimension_mismatch():
     with pytest.raises(ValueError):
-        joint_evolve(DensityOp(np.eye(4) / 4.0), identity_factor_matrix(4), identity_factor_matrix(2))
+        joint_evolve(DensityOp(np.eye(4) / 4.0), UNIT4, UNIT2)

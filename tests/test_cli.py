@@ -412,6 +412,40 @@ def test_cli_caps_the_tau_points_of_a_job(tmp_path, monkeypatch, capsys, command
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "doc,field,key",
+    [
+        ({"resource": {"kind": "werner", "p": 0.8, "concurence": 0.5}}, "resource", "concurence"),
+        ({"resource": {"kind": "pure", "concurrence": 0.5, "p": 0.3}}, "resource", "'p'"),
+        ({"alice_noise": {"gamma": 0.1, "lambda_c": 0.1, "omega": 2.0}}, "alice_noise", "omega"),
+        ({"bob_noise": {"gamma": 0.1, "lambda_c": 0.01, "temprature": 1.0}}, "bob_noise", "temprature"),
+        ({"input": {"theta": 1.0, "ph": 2.0}}, "input", "ph"),
+    ],
+)
+def test_cli_rejects_unknown_fields_in_nested_objects(tmp_path, capsys, doc, field, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TABLE1_CONFIG, **doc}))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: unknown fields" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_names_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "latin1.json"
+    cfg_path.write_bytes('{"seed": 1} \xe9'.encode("latin-1"))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(cfg_path) in err
+
+
+def test_cli_names_an_output_path_it_cannot_write(tmp_path, capsys):
+    out = tmp_path / "missing" / "table1.csv"
+    assert cli.main(["table", "1", "--out", str(out)]) == 2
+    assert f"cannot write output {out}" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_cli_numeric_error_exit_code(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise NumericAccuracyError("stalled", estimate=0.1, error_estimate=0.5)

@@ -4,6 +4,7 @@ from scipy import integrate
 
 from conftest import random_bloch, random_density, random_pure_pair, random_unitary, random_werner
 
+from dfsteleport.experiments import parse_config, run_report
 from dfsteleport.metrics import (
     _average_fts_pure_physical,
     average_fts_analytic,
@@ -14,7 +15,6 @@ from dfsteleport.metrics import (
     chsh,
     concurrence,
     fidelity_pointwise,
-    fidelity_report,
 )
 from dfsteleport.noisekernel import DecoherenceFactors, NoiseParams, factors_at
 from dfsteleport.protocol import PurePair, Werner, resource_state
@@ -77,6 +77,18 @@ def test_paper_scaled_pointwise_can_exceed_one():
     assert float(fn_phys(np.array([np.pi]), np.array([0.0]))[0]) <= 1.0 + 1e-12
 
 
+def test_pointwise_fidelity_ignores_the_sender_factors():
+    # the retained psi branches see only the receiver's factor b
+    rng = np.random.default_rng(51)
+    theta = np.arccos(rng.uniform(-1.0, 1.0, 64))
+    phi = rng.uniform(0.0, 2.0 * np.pi, 64)
+    noisy = DecoherenceFactors(f=0.5j, g=-0.5j, a=0.0625, b=PHYSICAL_B, tau=1.0)
+    for resource in (PurePair(0.6, 0.8), Werner(0.7)):
+        for convention in ("paper", "physical"):
+            free = bloch_fidelity_fn(resource, factors_with_b(PHYSICAL_B), convention)(theta, phi)
+            assert np.array_equal(bloch_fidelity_fn(resource, noisy, convention)(theta, phi), free)
+
+
 # ------------------------------------------------------------------- averages
 
 
@@ -133,8 +145,8 @@ def test_physical_average_coincides_with_paper_for_werner_and_balanced_pairs():
     for resource in (PurePair(SQRT_HALF, SQRT_HALF), Werner(0.7)):
         paper = average_fts_analytic(resource, fac.b, "paper")
         assert average_fts_analytic(resource, fac.b, "physical") == pytest.approx(paper, abs=1e-15)
-        report = fidelity_report(BlochAngles(1.0), resource, fac, convention="physical", mc_samples=1000)
-        assert report.average_quadrature == pytest.approx(report.average_analytic, abs=1e-10)
+        quad = average_fts_numeric(bloch_fidelity_fn(resource, fac, "physical"), "quadrature").value
+        assert quad == pytest.approx(paper, abs=1e-10)
     # an unbalanced pure pair is where the two conventions part
     pair = PurePair(0.6, 0.8)
     assert average_fts_analytic(pair, fac.b, "physical") != pytest.approx(
@@ -257,22 +269,32 @@ def test_numeric_average_rejects_bad_arguments():
         average_fts_numeric(one, "montecarlo", samples=1)
 
 
+def _run_report(resource: dict) -> dict:
+    return run_report(parse_config({
+        "resource": resource,
+        "bob_noise": {"gamma": 0.1, "lambda_c": 0.01},
+        "tau": TWO_PI,
+        "input": {"theta": 1.0, "phi": 0.2},
+        "seed": 11,
+    }))
+
+
 def test_fidelity_report_conventions():
-    fac = factors_at(NOISELESS, NoiseParams(0.1, 0.01), TWO_PI)
-    pair = PurePair(0.6, 0.8)
-    ang = BlochAngles(theta=1.0, phi=0.2)
-    paper = fidelity_report(ang, pair, fac, seed=11)
-    assert paper.average_quadrature == pytest.approx(paper.average_analytic, abs=1e-8)
-    assert abs(paper.average_montecarlo - paper.average_analytic) <= 3.0 * paper.montecarlo_stderr
-    phys = fidelity_report(ang, pair, fac, convention="physical", seed=11)
-    assert phys.average_analytic == pytest.approx(phys.average_quadrature, abs=1e-12)
-    assert abs(phys.average_analytic - paper.average_analytic) > 1e-4
-    assert abs(phys.average_montecarlo - phys.average_analytic) <= 3.0 * phys.montecarlo_stderr
-    assert 0.0 <= phys.average_quadrature <= 1.0 + 1e-9
-    assert 0.0 <= phys.pointwise <= 1.0 + 1e-9
+    # the run report's average_fts block holds one three-way average per convention
+    report = _run_report({"kind": "pure", "mu": 0.6, "lambda": 0.8})
+    paper, phys = report["average_fts"]["paper"], report["average_fts"]["physical"]
+    assert paper["quadrature"] == pytest.approx(paper["analytic"], abs=1e-8)
+    assert abs(paper["montecarlo"] - paper["analytic"]) <= 3.0 * paper["montecarlo_stderr"]
+    assert phys["analytic"] == pytest.approx(phys["quadrature"], abs=1e-12)
+    assert abs(phys["analytic"] - paper["analytic"]) > 1e-4
+    assert abs(phys["montecarlo"] - phys["analytic"]) <= 3.0 * phys["montecarlo_stderr"]
+    assert 0.0 <= phys["quadrature"] <= 1.0 + 1e-9
+    for branch in report["branches"]:
+        if branch["retained"]:
+            assert 0.0 <= branch["fidelity_physical"] <= 1.0 + 1e-9
     # Werner: conventions coincide and the closed form stays available
-    wreport = fidelity_report(ang, Werner(0.8), fac, convention="physical", seed=11)
-    assert wreport.average_quadrature == pytest.approx(wreport.average_analytic, abs=1e-8)
+    werner = _run_report({"kind": "werner", "p": 0.8})["average_fts"]["physical"]
+    assert werner["quadrature"] == pytest.approx(werner["analytic"], abs=1e-8)
 
 
 # ---------------------------------------------------------------- concurrence

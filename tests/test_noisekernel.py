@@ -11,6 +11,7 @@ from dfsteleport.noisekernel import (
     decay_rate,
     factors_at,
     phase_integral,
+    receiver_factor,
     spectral_density,
 )
 
@@ -232,6 +233,13 @@ def test_factors_b_matches_cumulative_decay_code_path():
     for tau in (0.5, 2.0, TWO_PI):
         fac = factors_at(NoiseParams(0.1, 0.1), bob, tau)
         assert abs(fac.b) == pytest.approx(np.exp(-cumulative_decay(bob, tau)), abs=1e-14)
+
+
+def test_receiver_factor_is_the_b_of_factors_at():
+    # the receiver's factor needs no sender bath, at zero or finite temperature
+    for bob in (NoiseParams(0.1, 0.05), NoiseParams(0.2, 0.5, temperature=1.0, omega0=1.3)):
+        for tau in (0.0, 2.5, TWO_PI):
+            assert receiver_factor(bob, tau) == factors_at(NoiseParams(0.3, 0.7), bob, tau).b
 
 
 def test_factors_magnitudes_bounded():

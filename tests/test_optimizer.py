@@ -3,7 +3,8 @@ import pytest
 
 from dfsteleport.metrics import average_fts_numeric, bloch_fidelity_fn
 from dfsteleport.noisekernel import NoiseParams, factors_at
-from dfsteleport.optimizer import TimingProblem, maximize_timing, objective_fn, sweep
+from dfsteleport import optimizer
+from dfsteleport.optimizer import TimingProblem, grid_points, maximize_timing, objective_fn, sweep
 from dfsteleport.protocol import PurePair, Werner
 
 TWO_PI = 2.0 * np.pi
@@ -131,6 +132,42 @@ def test_maximize_tie_breaks_toward_smaller_tau():
     problem = pure_problem(1.0, 0.0, 1.0, (np.pi, 5.0 * np.pi))
     sol = maximize_timing(problem, tol_tau=1e-9)
     assert abs(sol.tau_star - TWO_PI) <= 1e-6
+
+
+def count_evaluations(monkeypatch) -> list:
+    taus = []
+    real = optimizer.objective_fn
+
+    def counting(problem):
+        fn = real(problem)
+
+        def counted(tau):
+            taus.append(tau)
+            return fn(tau)
+
+        return counted
+
+    monkeypatch.setattr(optimizer, "objective_fn", counting)
+    return taus
+
+
+def test_maximize_keeps_tied_grid_points_unrefined(monkeypatch):
+    # a fully decohered receiver flattens the Werner curve to p/6 + 1/2, so
+    # every grid point ties both neighbours and no bracket is refined
+    evaluated = count_evaluations(monkeypatch)
+    problem = TimingProblem(Werner.from_concurrence(0.8), NoiseParams(5.0, 5.0), (np.pi, 4.0 * np.pi))
+    sol = maximize_timing(problem)
+    assert len(evaluated) == grid_points(problem.window)
+    assert sol.tau_star == problem.window[0]
+    assert set(t for t, _ in sol.local_maxima) <= set(sol.grid[:, 0])
+
+
+def test_maximize_refines_brackets_that_do_not_tie(monkeypatch):
+    evaluated = count_evaluations(monkeypatch)
+    problem = pure_problem(0.8, 0.1, 0.05, (np.pi, 3.0 * np.pi))
+    sol = maximize_timing(problem)
+    assert len(evaluated) > grid_points(problem.window)
+    assert sol.tau_star not in set(sol.grid[:, 0])
 
 
 def test_monotone_envelope_in_noise_parameters():

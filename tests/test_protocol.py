@@ -10,16 +10,16 @@ from dfsteleport.protocol import (
     PurePair,
     Strategy,
     Werner,
+    _BELL_AMPS,
+    _CORRECTIONS,
     analytic_branch_states,
-    bell_ket,
     build_joint,
     classical_bits_for,
-    correction_unitary,
     resource_state,
     run_protocol,
     run_with_factors,
 )
-from dfsteleport.qlinalg import BlochAngles, ContractViolationError, PureKet, basis_ket, tensor
+from dfsteleport.qlinalg import BlochAngles, ContractViolationError, PureKet, tensor
 
 TWO_PI = 2.0 * np.pi
 NOISELESS = NoiseParams(gamma=0.0, lambda_c=1.0)
@@ -57,7 +57,7 @@ def test_werner_validation():
 def test_bell_kets_orthonormal():
     for i, a in enumerate(BELL_ORDER):
         for j, b in enumerate(BELL_ORDER):
-            overlap = np.vdot(bell_ket(a).amps, bell_ket(b).amps)
+            overlap = np.vdot(_BELL_AMPS[a], _BELL_AMPS[b])
             assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
 
 
@@ -290,7 +290,7 @@ def test_balanced_pair_spin_up_input_psi_branch():
 
 def test_corrections_are_unitary():
     for outcome in BELL_ORDER:
-        u = correction_unitary(outcome)
+        u = _CORRECTIONS[outcome]
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
 
 

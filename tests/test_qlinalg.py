@@ -10,12 +10,13 @@ from dfsteleport.qlinalg import (
     DensityOp,
     PureKet,
     UnsupportedDimensionError,
-    basis_ket,
     eig_hermitian,
     mat_sqrt_psd,
-    partial_trace,
     tensor,
 )
+
+UP = PureKet(np.array([1.0, 0.0]))
+DOWN = PureKet(np.array([0.0, 1.0]))
 
 
 def bell_phi_plus() -> PureKet:
@@ -71,11 +72,11 @@ def test_density_mat_is_frozen():
 
 
 def test_derived_states_are_frozen_without_a_recheck():
-    # projector, tensor and partial trace wrap their results unchecked; the
-    # arrays are frozen all the same
+    # projector and tensor wrap their results unchecked; the arrays are frozen
+    # all the same
     pair = bell_phi_plus().projector()
-    joint = tensor(basis_ket(2, 1).projector(), pair)
-    for state in (pair, joint, partial_trace(joint, keep=[0, 2])):
+    joint = tensor(DOWN.projector(), pair)
+    for state in (pair, joint):
         assert state.normalized
         assert state.trace == pytest.approx(1.0, abs=1e-15)
         with pytest.raises(ValueError):
@@ -84,7 +85,7 @@ def test_derived_states_are_frozen_without_a_recheck():
 
 def test_projector_rejects_unsupported_dimension():
     with pytest.raises(UnsupportedDimensionError):
-        basis_ket(16, 0).projector()
+        PureKet(np.eye(16)[0]).projector()
 
 
 # --------------------------------------------------------------------- tensor
@@ -97,9 +98,7 @@ def test_tensor_identity_case():
 
 
 def test_tensor_basis_bookkeeping():
-    up = basis_ket(2, 0)
-    down = basis_ket(2, 1)
-    ket = tensor(up, down)
+    ket = tensor(UP, DOWN)
     expected = np.zeros(4)
     expected[1] = 1.0
     assert np.allclose(ket.amps, expected)
@@ -108,9 +107,8 @@ def test_tensor_basis_bookkeeping():
 def test_tensor_joint_projector():
     # input alpha=1 with the balanced pure resource: rank-1 projector onto
     # (|up,up,up> + |up,down,down>)/sqrt(2), basis indices 0 and 3
-    psi_in = basis_ket(2, 0)
     chi = PureKet(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
-    rho = tensor(psi_in.projector(), chi.projector())
+    rho = tensor(UP.projector(), chi.projector())
     v = np.zeros(8, dtype=complex)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     assert np.allclose(rho.mat, np.outer(v, v.conj()), atol=1e-15)
@@ -124,7 +122,7 @@ def test_tensor_rejects_dimension_overflow():
 
 def test_tensor_rejects_mixed_kinds():
     with pytest.raises(TypeError):
-        tensor(basis_ket(2, 0), DensityOp(np.eye(2) / 2.0))
+        tensor(UP, DensityOp(np.eye(2) / 2.0))
 
 
 def test_tensor_trace_multiplicative():
@@ -135,20 +133,7 @@ def test_tensor_trace_multiplicative():
     assert out.trace == pytest.approx(a.trace * b.trace, rel=1e-12)
 
 
-# -------------------------------------------------------------- partial trace
-
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(3)
-    rho_b = random_density(rng, 2)
-    joint = tensor(bell_phi_plus().projector(), rho_b)
-    reduced = partial_trace(joint, keep=[0, 1])
-    assert np.allclose(reduced.mat, bell_phi_plus().projector().mat, atol=1e-14)
-
-
-def test_partial_trace_bell_state_is_maximally_mixed():
-    reduced = partial_trace(bell_phi_plus().projector(), keep=[1])
-    assert np.allclose(reduced.mat, np.eye(2) / 2.0, atol=1e-15)
+# ------------------------------------------- tensor against an index-sum trace
 
 
 def _index_sum_partial_trace(mat: np.ndarray, n: int, keep: list) -> np.ndarray:
@@ -168,31 +153,13 @@ def _index_sum_partial_trace(mat: np.ndarray, n: int, keep: list) -> np.ndarray:
     return out
 
 
-def test_partial_trace_reduced_pair_state_vs_index_oracle():
-    # alpha=1 input with the mu=0.6, lambda=0.8 resource
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = 0.6  # up,up,up
-    psi[3] = 0.8  # up,down,down
-    joint = PureKet(psi).projector()
-    reduced = partial_trace(joint, keep=[1, 2])
-    oracle = _index_sum_partial_trace(joint.mat, 3, [1, 2])
-    assert np.allclose(reduced.mat, oracle, atol=1e-15)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 0] = 0.36
-    expected[3, 3] = 0.64
-    expected[0, 3] = expected[3, 0] = 0.48
-    assert np.allclose(reduced.mat, expected, atol=1e-15)
-
-
-def test_partial_trace_random_vs_index_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        rho = random_density(rng, 8)
-        for keep in ([0], [1], [2], [0, 1], [0, 2], [1, 2]):
-            got = partial_trace(rho, keep=keep)
-            want = _index_sum_partial_trace(rho.mat, 3, list(keep))
-            assert np.allclose(got.mat, want, atol=1e-13)
-            assert got.trace == pytest.approx(rho.trace, abs=1e-12)
+def test_partial_trace_product_state():
+    # tracing the last qubit out of a tensor product returns the left factor
+    rng = np.random.default_rng(3)
+    rho_b = random_density(rng, 2)
+    joint = tensor(bell_phi_plus().projector(), rho_b)
+    reduced = _index_sum_partial_trace(joint.mat, 3, [0, 1])
+    assert np.allclose(reduced, bell_phi_plus().projector().mat, atol=1e-14)
 
 
 def test_partial_trace_tensor_roundtrip():
@@ -200,13 +167,8 @@ def test_partial_trace_tensor_roundtrip():
     for _ in range(50):
         a = random_density(rng, 2, normalized=False)
         b = random_density(rng, 4, normalized=False)
-        out = partial_trace(tensor(a, b), keep=[0])
-        assert np.allclose(out.mat, a.mat * b.trace, atol=1e-12 * max(1.0, b.trace))
-
-
-def test_partial_trace_requires_nonempty_keep():
-    with pytest.raises(ValueError):
-        partial_trace(DensityOp(np.eye(4) / 4.0), keep=[])
+        out = _index_sum_partial_trace(tensor(a, b).mat, 3, [0])
+        assert np.allclose(out, a.mat * b.trace, atol=1e-12 * max(1.0, b.trace))
 
 
 # ------------------------------------------------------------------------ eig
