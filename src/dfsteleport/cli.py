@@ -3,7 +3,8 @@
 Subcommands: run, table, figure, optimize, sweep.  Configs are JSON documents
 (omega0 units throughout); tables and figure curves are emitted as CSV, run
 and optimization reports as JSON.  Exit codes: 0 success, 2 configuration
-or file error, 3 numeric-accuracy failure.
+or file error.  Every decay is a closed form, so no command can fail on a
+numeric-accuracy error.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ from .experiments import (
     to_csv,
     to_json,
 )
-from .noisekernel import NumericAccuracyError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -139,13 +138,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NumericAccuracyError as exc:
-        print(
-            f"numeric accuracy failure: {exc} (estimate {exc.estimate!r}, "
-            f"error {exc.error_estimate!r})",
-            file=sys.stderr,
-        )
-        return EXIT_NUMERIC
     return EXIT_OK
 
 

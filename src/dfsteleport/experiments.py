@@ -204,6 +204,8 @@ def _parse_resource(obj, context: str = "resource") -> ResourceSpec:
     if kind not in ("pure", "werner"):
         raise ConfigError(f"{context}.kind: expected 'pure' or 'werner', got {kind!r}")
     _reject_unknown(obj, _RESOURCE_FIELDS[kind], context)
+    if "concurrence" in obj and len(obj) > 2:  # mu/lambda or p would be silently ignored
+        raise ConfigError(f"{context}: conflicting fields {sorted(set(obj) - {'kind'})}")
     try:
         if "concurrence" in obj:
             cls = PurePair if kind == "pure" else Werner

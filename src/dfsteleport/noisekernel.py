@@ -15,17 +15,28 @@ magnitude of the decoherence factors; the accompanying bath-induced phase is
 
     phase(tau) = 4 * int_0^tau [ int_0^inf J(w) (1 - cos(w t)) / w  dw ] dt.
 
-Zero-temperature Ohmic baths admit closed forms (``rate = 4*gamma*L^2*t /
-(1 + L^2 t^2)``, running integral ``2*gamma*ln(1 + L^2 tau^2)``, phase
-``4*gamma*(L tau - atan(L tau))``); finite temperature falls back to
-quadrature.  Both backends are exposed through a ``method`` switch so each can
-oracle-check the other.
+All three have closed forms at every temperature (the pure-dephasing
+spin-boson result; Breuer & Petruccione, The Theory of Open Quantum Systems,
+2002).  At zero temperature ``rate = 4*gamma*L^2*t / (1 + L^2 t^2)``, its
+running integral is ``2*gamma*ln(1 + L^2 tau^2)`` and the phase is
+``4*gamma*(L tau - atan(L tau))``.  The phase kernel carries no temperature.
+A bath at T > 0 adds ``4*gamma*S`` to the running integral and
+``4*gamma*dS/dtau`` to the rate, where expanding
+coth(w/2T) = 1 + 2*sum_n exp(-n w/T) gives
 
-The frequency integrals are truncated at ``max(40*lambda_c, 40/t)`` (the Ohmic
-envelope makes the discarded tail < 1e-17 relative) and evaluated on composite
-Gauss-Legendre panels no wider than half an oscillation period ``pi/t``, then
-re-evaluated on doubled panel counts until two passes agree to the requested
-relative tolerance.
+    S(tau) = sum_{n>=1} ln(1 + y^2/(a+n)^2) = 2*Re[lnGamma(1+a) - lnGamma(1+a+iy)],
+    a = T/lambda_c,  y = T*tau
+
+(the product formula of the Gamma function).  ``_thermal_sum`` evaluates it.
+
+The closed forms are the program path (``method="closed"``, the default).
+``method="quadrature"`` integrates the frequency integrals above instead and
+serves as their independent oracle: they are truncated at
+``max(40*lambda_c, 40/t)`` (the Ohmic envelope makes the discarded tail
+< 1e-17 relative) and evaluated on composite Gauss-Legendre panels no wider
+than half an oscillation period ``pi/t``, then re-evaluated on doubled panel
+counts until two passes agree to the requested relative tolerance, or else
+raise ``NumericAccuracyError``.
 
 Everything here is a pure function of immutable parameter records; sweeps over
 time grids can be parallelized freely.
@@ -33,6 +44,8 @@ time grids can be parallelized freely.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +56,8 @@ _ABS_FLOOR = 1e-14
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # largest x whose square is finite; past it the closed forms switch to overflow-free variants
 _SQRT_MAX = float(np.sqrt(np.finfo(float).max))
+# Stirling coefficients B_2k / (2k (2k-1)) of lnGamma(w), k = 1..5, of the powers w^-(2k-1)
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 
 
 class NumericAccuracyError(RuntimeError):
@@ -153,31 +168,69 @@ def _frequency_integral(fn, params: NoiseParams, t: float) -> float:
     )
 
 
-def _resolve_method(params: NoiseParams, method: str) -> str:
-    if method not in ("auto", "closed", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        return "closed" if params.temperature == 0.0 else "quadrature"
-    return method
+def _log1p_sq(x: float) -> float:
+    # ln(1 + x^2) for x >= 0; past _SQRT_MAX the square would overflow
+    return 2.0 * math.log(x) if x > _SQRT_MAX else math.log1p(x * x)
 
 
-def decay_rate(params: NoiseParams, t: float, method: str = "auto") -> float:
+def _thermal_sum(params: NoiseParams, tau: float) -> tuple[float, float]:
+    """Thermal excess ``S(tau)`` of the decay (module docstring) and ``dS/dtau``.
+
+    With q_n = 1/lambda_c + n/T each term is ln(1 + tau^2/q_n^2), so no
+    T*tau or T/lambda_c is ever formed.  Terms with T*q_n < 12 are summed
+    directly.  The rest is 2*Re[lnGamma(z) - lnGamma(z + iy)] at z = T*q_N,
+    taken from the Stirling series as a difference: with r = y/z = tau/q_N,
+    2*(y*atan(r) - (z - 1/2)*Re ln(1 + ir)) plus the Bernoulli terms of
+    z^-m - (z + iy)^-m, which a recurrence forms without cancellation.
+    Subtracting two large lnGamma values would lose every digit at high T.
+    """
+    temp, inv_cut = params.temperature, 1.0 / params.lambda_c
+    first_tail = math.ceil(12.0 - min(temp * inv_cut, 11.0))  # least n >= 1 with T*q_n >= 12
+    s = ds = 0.0
+    for n in range(1, first_tail):
+        q = inv_cut + n / temp
+        s += _log1p_sq(tau / q)
+        ds += 2.0 / (q * (q / tau) + tau)  # 2*tau/(q^2 + tau^2)
+    zeta = inv_cut + first_tail / temp
+    # past _SQRT_MAX only atan(r) = pi/2 is still visible in the sum
+    r = min(tau / zeta, _SQRT_MAX)
+    if r == 0.0:  # the tail underflows (or zeta overflowed)
+        return s, ds
+    ell = cmath.log(complex(1.0, r))  # ln(1 + r^2)/2 + i*atan(r)
+    u = 1.0 / (temp * zeta)
+    v = u / complex(1.0, r)
+    d1 = d = complex(0.0, r) * v  # u^m - v^m at m = 1
+    vm = v
+    bern = dbern = 0j
+    for k, c in enumerate(_STIRLING):
+        bern += c * d
+        dbern += c * (2 * k + 1) * vm * v  # d/dy of -v^m is i*m*v^(m+1)
+        d = u * u * d + vm * (u + v) * d1  # u^(m+2) - v^(m+2)
+        vm *= v * v
+    s += 2.0 * (temp * (tau * ell.imag - zeta * ell.real) + 0.5 * ell.real + bern.real)
+    ds += temp * (2.0 * (ell.imag - dbern.imag)) + 1.0 / (zeta * (zeta / tau) + tau)
+    return s, ds
+
+
+def decay_rate(params: NoiseParams, t: float, method: str = "closed") -> float:
     """Instantaneous dephasing rate of one wing at time ``t``.
 
-    ``auto`` selects the zero-temperature Ohmic closed form
-    4*gamma*L^2*t/(1 + L^2 t^2) when exact, quadrature otherwise.
+    ``closed`` is 4*gamma*L^2*t/(1 + L^2 t^2) plus, at T > 0,
+    4*gamma*dS/dt (module docstring); ``quadrature`` is its oracle.
     """
     if t < 0.0:
         raise ValueError("t must be >= 0")
     if t == 0.0 or params.gamma == 0.0:
         return 0.0
-    if _resolve_method(params, method) == "closed":
-        if params.temperature != 0.0:
-            raise ValueError("closed form is only exact at zero temperature")
+    if method == "closed":
         x = params.lambda_c * t
         if max(x, params.lambda_c) > _SQRT_MAX:
-            return 4.0 * params.gamma * params.lambda_c / (x + 1.0 / x)  # 4*gamma*L*x/(1 + x^2)
-        return 4.0 * params.gamma * params.lambda_c**2 * t / (1.0 + x**2)
+            vacuum = 4.0 * params.gamma * params.lambda_c / (x + 1.0 / x)  # 4*gamma*L*x/(1 + x^2)
+        else:
+            vacuum = 4.0 * params.gamma * params.lambda_c**2 * t / (1.0 + x**2)
+        return vacuum if params.temperature == 0.0 else vacuum + 4.0 * params.gamma * _thermal_sum(params, t)[1]
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
 
     def integrand(w):
         return (
@@ -191,25 +244,27 @@ def decay_rate(params: NoiseParams, t: float, method: str = "auto") -> float:
     return _frequency_integral(integrand, params, t)
 
 
-def cumulative_decay(params: NoiseParams, tau: float, method: str = "auto") -> float:
+def cumulative_decay(params: NoiseParams, tau: float, method: str = "closed") -> float:
     """Running integral of ``decay_rate`` from 0 to ``tau``.
 
-    Quadrature swaps the time and frequency integrals, which turns the nested
-    integral into the single frequency integral with kernel
-    (1 - cos(w*tau))/w; the zero-temperature closed form is
-    2*gamma*ln(1 + L^2 tau^2).
+    ``closed`` is 2*gamma*ln(1 + L^2 tau^2) plus, at T > 0, 4*gamma*S(tau)
+    (module docstring).  Quadrature swaps the time and frequency integrals,
+    which turns the nested integral into the single frequency integral with
+    kernel (1 - cos(w*tau))/w.
     """
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0 or params.gamma == 0.0:
         return 0.0
-    if _resolve_method(params, method) == "closed":
-        if params.temperature != 0.0:
-            raise ValueError("closed form is only exact at zero temperature")
+    if method == "closed":
         x = params.lambda_c * tau
         if x > _SQRT_MAX:
-            return 4.0 * params.gamma * np.log(x)  # ln(1 + x^2) = 2 ln(x) to double precision
-        return 2.0 * params.gamma * np.log1p(x**2)
+            vacuum = 4.0 * params.gamma * np.log(x)  # ln(1 + x^2) = 2 ln(x) to double precision
+        else:
+            vacuum = 2.0 * params.gamma * np.log1p(x**2)
+        return vacuum if params.temperature == 0.0 else vacuum + 4.0 * params.gamma * _thermal_sum(params, tau)[0]
+    if method != "quadrature":
+        raise ValueError(f"unknown method {method!r}")
 
     def integrand(w):
         # 1 - cos as 2 sin^2 avoids cancellation at small w*tau
@@ -226,19 +281,19 @@ def cumulative_decay(params: NoiseParams, tau: float, method: str = "auto") -> f
     return _frequency_integral(integrand, params, tau)
 
 
-def phase_integral(params: NoiseParams, tau: float, method: str = "auto") -> float:
+def phase_integral(params: NoiseParams, tau: float, method: str = "closed") -> float:
     """Accumulated bath-induced (Lamb-like) phase up to ``tau``.
 
     The phase kernel carries no temperature dependence, so the Ohmic closed
-    form 4*gamma*(L*tau - atan(L*tau)) is exact at any temperature and is what
-    ``auto`` uses; the quadrature backend integrates
-    4*gamma*exp(-w/L)*(tau - sin(w*tau)/w) for cross-checking.
+    form 4*gamma*(L*tau - atan(L*tau)) is exact at any temperature; the
+    quadrature backend integrates 4*gamma*exp(-w/L)*(tau - sin(w*tau)/w) for
+    cross-checking.
     """
     if tau < 0.0:
         raise ValueError("tau must be >= 0")
     if tau == 0.0 or params.gamma == 0.0:
         return 0.0
-    if method == "auto" or method == "closed":
+    if method == "closed":
         x = params.lambda_c * tau
         if x < 1e-3:
             core = x**3 / 3.0 - x**5 / 5.0
@@ -259,7 +314,7 @@ def phase_integral(params: NoiseParams, tau: float, method: str = "auto") -> flo
     return _frequency_integral(integrand, params, tau)
 
 
-def factors_at(alice: NoiseParams, bob: NoiseParams, tau: float, method: str = "auto") -> DecoherenceFactors:
+def factors_at(alice: NoiseParams, bob: NoiseParams, tau: float) -> DecoherenceFactors:
     """Decoherence factors of both wings at the measurement instant ``tau``.
 
     With ``G`` the sender's cumulative decay, ``P`` the sender's accumulated
@@ -274,21 +329,21 @@ def factors_at(alice: NoiseParams, bob: NoiseParams, tau: float, method: str = "
     no bath phase; the up-down/down-up coherence it leaves untouched is
     handled in the channel layer.
     """
-    g_alice = cumulative_decay(alice, tau, method=method)
-    p_alice = phase_integral(alice, tau, method=method)
+    g_alice = cumulative_decay(alice, tau)
+    p_alice = phase_integral(alice, tau)
     wa = alice.omega0 * tau
     return DecoherenceFactors(
         f=np.exp(complex(-g_alice, -wa + p_alice)),
         g=np.exp(complex(-g_alice, +wa + p_alice)),
         a=np.exp(complex(-4.0 * g_alice, -2.0 * wa)),
-        b=receiver_factor(bob, tau, method=method),
+        b=receiver_factor(bob, tau),
         tau=tau,
     )
 
 
-def receiver_factor(bob: NoiseParams, tau: float, method: str = "auto") -> complex:
+def receiver_factor(bob: NoiseParams, tau: float) -> complex:
     """Receiver coherence factor b = exp(-i*w0*tau - H) on its own.
 
     The retained fidelity and the timing objective depend on no other factor.
     """
-    return np.exp(complex(-cumulative_decay(bob, tau, method=method), -bob.omega0 * tau))
+    return np.exp(complex(-cumulative_decay(bob, tau), -bob.omega0 * tau))

@@ -19,7 +19,6 @@ from dfsteleport.experiments import (
     table_werner,
     to_csv,
 )
-from dfsteleport.noisekernel import NumericAccuracyError
 
 TWO_PI = 2.0 * np.pi
 
@@ -373,6 +372,9 @@ def test_cli_rejects_bad_tol_tau(tmp_path, capsys, tol):
         {"tau": 1e307},
         {"tau": 2.0, "bob_noise": {"gamma": 0.1, "lambda_c": 1e300}},
         {"tau": 2.0, "alice_noise": {"gamma": 0.1, "lambda_c": 1e300}},
+        # hot receiver baths on which the frequency quadrature did not converge
+        {"tau": 2000.0, "bob_noise": {"gamma": 0.1, "lambda_c": 50.0, "temperature": 5.0}},
+        {"tau": 1e200, "bob_noise": {"gamma": 0.1, "lambda_c": 0.5, "temperature": 1e200}},
     ],
 )
 def test_cli_run_survives_huge_decay_arguments(tmp_path, doc):
@@ -431,6 +433,23 @@ def test_cli_rejects_unknown_fields_in_nested_objects(tmp_path, capsys, doc, fie
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "resource,fields",
+    [
+        ({"kind": "pure", "concurrence": 0.5, "mu": 0.6, "lambda": 0.8}, "['concurrence', 'lambda', 'mu']"),
+        ({"kind": "pure", "concurrence": 0.5, "lambda": 0.8}, "['concurrence', 'lambda']"),
+        ({"kind": "werner", "concurrence": 0.5, "p": 0.9}, "['concurrence', 'p']"),
+    ],
+)
+def test_cli_rejects_conflicting_resource_fields(tmp_path, capsys, resource, fields):
+    # concurrence fixes the whole resource, so a second description of it is not ignored
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TABLE1_CONFIG, "resource": resource}))
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: resource: conflicting fields {fields}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_names_a_config_that_is_not_utf8(tmp_path, capsys):
     cfg_path = tmp_path / "latin1.json"
     cfg_path.write_bytes('{"seed": 1} \xe9'.encode("latin-1"))
@@ -444,17 +463,6 @@ def test_cli_names_an_output_path_it_cannot_write(tmp_path, capsys):
     assert cli.main(["table", "1", "--out", str(out)]) == 2
     assert f"cannot write output {out}" in capsys.readouterr().err
     assert not out.parent.exists()
-
-
-def test_cli_numeric_error_exit_code(tmp_path, monkeypatch, capsys):
-    def boom(*args, **kwargs):
-        raise NumericAccuracyError("stalled", estimate=0.1, error_estimate=0.5)
-
-    monkeypatch.setattr(experiments, "factors_at", boom)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(TABLE1_CONFIG))
-    assert cli.main(["run", "--config", str(cfg_path)]) == 3
-    assert "numeric accuracy failure" in capsys.readouterr().err
 
 
 def test_cli_json_embeds_version(tmp_path):

@@ -1,12 +1,19 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import integrate, special
 
+from dfsteleport import noisekernel
 from dfsteleport.noisekernel import (
     DecoherenceFactors,
     NoiseParams,
     NumericAccuracyError,
     _frequency_integral,
+    _thermal_sum,
     cumulative_decay,
     decay_rate,
     factors_at,
@@ -24,6 +31,21 @@ def closed_rate(gamma, lam, t):
 
 def closed_cumulative(gamma, lam, tau):
     return 2.0 * gamma * np.log1p((lam * tau) ** 2)
+
+
+def gamma_product(gamma, lam, temp, tau):
+    """Decay and rate at any T from scipy's complex lnGamma and digamma.
+
+    G = 2*gamma*ln(1 + L^2 tau^2) + 8*gamma*Re[lnGamma(1+a) - lnGamma(1+a+iy)] and
+    rate = 4*gamma*L^2*tau/(1 + L^2 tau^2) + 8*gamma*T*Im psi(1+a+iy), a = T/L, y = T*tau.
+    The two lnGamma values cancel, so this oracle is sharp only where the thermal part is large.
+    """
+    z = complex(1.0 + temp / lam, temp * tau)
+    thermal = (special.loggamma(1.0 + temp / lam) - special.loggamma(z)).real
+    return (
+        closed_cumulative(gamma, lam, tau) + 8.0 * gamma * thermal,
+        closed_rate(gamma, lam, tau) + 8.0 * gamma * temp * special.psi(z).imag,
+    )
 
 
 # ------------------------------------------------------------------ validation
@@ -162,9 +184,87 @@ def test_zero_temperature_limit_of_quadrature():
     taus = np.linspace(0.5, 4.0 * np.pi, 12)
     p = NoiseParams(gamma=0.1, lambda_c=0.3, temperature=1e-6)
     for t in taus:
-        quad = decay_rate(p, t)
+        quad = decay_rate(p, t, method="quadrature")
         closed = closed_rate(0.1, 0.3, t)
         assert quad == pytest.approx(closed, rel=1e-5, abs=1e-12)
+
+
+# ------------------------------------------------- closed form at every temperature
+
+# gamma x lambda_c x T x tau: 162 points
+FINITE_T_GRID = list(itertools.product((0.1, 1.0), (0.01, 0.5, 5.0), (0.05, 1.0, 5.0), (0.3, 6.28, 40.0)))
+
+
+@pytest.mark.parametrize("lam", (0.01, 0.5, 5.0))
+def test_finite_temperature_closed_form_matches_quadrature(lam):
+    for gamma, _, temp, tau in (point for point in FINITE_T_GRID if point[1] == lam):
+        p = NoiseParams(gamma, lam, temp)
+        assert cumulative_decay(p, tau) == pytest.approx(cumulative_decay(p, tau, method="quadrature"), rel=1e-10)
+        assert decay_rate(p, tau) == pytest.approx(decay_rate(p, tau, method="quadrature"), rel=1e-10)
+
+
+@pytest.mark.parametrize("ratio", (1e3, 1e5, 1e8))
+def test_high_temperature_closed_form_matches_quadrature(ratio):
+    # T/lambda_c >= 1e3: two large lnGamma values would cancel here, the direct sum and
+    # Stirling difference do not
+    for lam, tau in itertools.product((0.01, 0.5), (0.3, 6.28, 40.0)):
+        p = NoiseParams(0.1, lam, ratio * lam)
+        assert cumulative_decay(p, tau) == pytest.approx(cumulative_decay(p, tau, method="quadrature"), rel=1e-10)
+        assert decay_rate(p, tau) == pytest.approx(decay_rate(p, tau, method="quadrature"), rel=1e-10)
+
+
+def test_closed_form_where_quadrature_stalls():
+    # the 20000-panel cap makes the quadrature give up here; the estimate it
+    # discards and the Gamma-function product both agree with the closed form
+    p = NoiseParams(0.1, 50.0, 5.0)
+    got = cumulative_decay(p, 2000.0)
+    with pytest.raises(NumericAccuracyError) as excinfo:
+        cumulative_decay(p, 2000.0, method="quadrature")
+    assert got == pytest.approx(excinfo.value.estimate, rel=1e-12)
+    want_g, want_rate = gamma_product(0.1, 50.0, 5.0, 2000.0)
+    assert got == pytest.approx(want_g, rel=1e-13)
+    assert decay_rate(p, 2000.0) == pytest.approx(want_rate, rel=1e-13)
+
+
+def test_zero_temperature_values_are_the_vacuum_formulas(monkeypatch):
+    # bit-identical to the zero-temperature closed forms, with no call into the thermal sum
+    def no_thermal(*args):
+        raise AssertionError("the thermal sum ran at T = 0")
+
+    monkeypatch.setattr(noisekernel, "_thermal_sum", no_thermal)
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        gamma, lam, tau = (float(10.0**e) for e in rng.uniform((-3, -3, -3), (1, 2, 3)))
+        p = NoiseParams(gamma, lam)
+        x = lam * tau
+        assert cumulative_decay(p, tau) == 2.0 * gamma * np.log1p(x**2)
+        assert decay_rate(p, tau) == 4.0 * gamma * lam**2 * tau / (1.0 + x**2)
+
+
+FINITE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=st.floats(min_value=0.0, max_value=1e300),
+    lambda_c=FINITE.filter(lambda x: x > 0.0),
+    temperature=FINITE,
+    tau=FINITE,
+)
+@example(gamma=0.1, lambda_c=0.5, temperature=1e300, tau=5.0)
+@example(gamma=0.1, lambda_c=0.5, temperature=1e200, tau=1e200)
+@example(gamma=1e300, lambda_c=1e-300, temperature=1e300, tau=1e300)
+@example(gamma=0.1, lambda_c=1e-300, temperature=1.7e308, tau=1e-20)
+def test_closed_form_never_overflows_into_nan(gamma, lambda_c, temperature, tau):
+    # the decay may overflow to +inf, never to NaN; gamma stops at 1e300 so that
+    # 4*gamma stays finite
+    p = NoiseParams(gamma, lambda_c, temperature)
+    g = cumulative_decay(p, tau)
+    assert not math.isnan(g) and g >= 0.0
+    if temperature > 0.0 and tau > 0.0:  # both thermal terms, the rate's included
+        assert all(not math.isnan(x) and x >= 0.0 for x in _thermal_sum(p, tau))
+    b = receiver_factor(p, tau)
+    assert math.isfinite(b.real) and math.isfinite(b.imag) and abs(b) <= 1.0
 
 
 # -------------------------------------------------------------- phase integral
