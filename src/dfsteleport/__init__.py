@@ -3,10 +3,12 @@
 Simulates the discard-strategy teleportation protocol: the sender's two qubits
 share a common dephasing bath, the receiver's qubit sits in its own local
 bath, and only the Bell outcomes protected by the common bath's
-decoherence-free subspace are kept.  The toolkit evolves the exact three-qubit
-state, evaluates pointwise and Bloch-averaged teleportation fidelities,
-entanglement (concurrence) and CHSH nonlocality of the resource, and optimizes
-the sender's measurement timing against the receiver's noise parameters.
+decoherence-free subspace are kept.  The toolkit reads each outcome's receiver
+state from its closed form (the exact three-qubit evolution serves as its
+brute-force check), evaluates pointwise and Bloch-averaged teleportation
+fidelities, entanglement (concurrence) and CHSH nonlocality of the resource,
+and optimizes the sender's measurement timing against the receiver's noise
+parameters.
 """
 
 __version__ = "0.1.0"

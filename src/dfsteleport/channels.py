@@ -14,7 +14,9 @@ in the (up-up, up-down, down-up, down-down) ordering; the unit entries on the
 (up-down, down-up) coherence are the decoherence-free subspace of the common
 bath.  The receiver's local map multiplies the single-qubit coherence by b.
 Populations and trace are untouched by construction, and the joint map on the
-three-qubit state is the tensor product of the two factor matrices.
+three-qubit state is the tensor product of the two factor matrices.  The run
+path never builds that 8x8 state: ``protocol`` uses closed-form branch states,
+and this module supports the brute-force pipeline that checks them.
 """
 
 from __future__ import annotations

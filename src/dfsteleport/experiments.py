@@ -38,7 +38,7 @@ from .protocol import (
     Strategy,
     Werner,
     resource_state,
-    run_protocol,
+    run_with_factors,
 )
 from .qlinalg import BlochAngles
 
@@ -383,10 +383,7 @@ def run_report(config: ExperimentConfig) -> dict:
         },
     }
     if config.input_state is not None:
-        run = run_protocol(
-            config.input_state, config.resource, config.alice_noise,
-            config.bob_noise, config.tau, config.strategy,
-        )
+        run = run_with_factors(config.input_state, config.resource, factors, config.strategy)
         report["classical_bits"] = run.classical_bits
         report["branches"] = [_branch_dict(b) for b in run.branches]
     return report

@@ -53,7 +53,6 @@ import numpy as np
 
 REL_TOL = 1e-8
 _ABS_FLOOR = 1e-14
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # largest x whose square is finite; past it the closed forms switch to overflow-free variants
 _SQRT_MAX = float(np.sqrt(np.finfo(float).max))
 # Stirling coefficients B_2k / (2k (2k-1)) of lnGamma(w), k = 1..5, of the powers w^-(2k-1)
@@ -141,11 +140,15 @@ def _coth_over_one(omega: np.ndarray, temperature: float) -> np.ndarray:
 
 
 def _panel_integral(fn: Callable[[np.ndarray], np.ndarray], upper: float, n_panels: int) -> float:
+    # 16-point Gauss-Legendre panels, built per call: only the oracle integrates, and
+    # building the rule at import loaded numpy.polynomial and ran an eigen-solve in
+    # every process (~1.5 MB resident)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(0.0, upper, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    pts = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    wts = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    pts = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    wts = (half[:, None] * weights[None, :]).ravel()
     return float(np.dot(fn(pts), wts))
 
 
@@ -225,7 +228,7 @@ def decay_rate(params: NoiseParams, t: float, method: str = "closed") -> float:
     if method == "closed":
         x = params.lambda_c * t
         if max(x, params.lambda_c) > _SQRT_MAX:
-            vacuum = 4.0 * params.gamma * params.lambda_c / (x + 1.0 / x)  # 4*gamma*L*x/(1 + x^2)
+            vacuum = 4.0 * params.gamma / (t + 1.0 / (params.lambda_c * x))  # 4*gamma/(t + 1/(L^2 t))
         else:
             vacuum = 4.0 * params.gamma * params.lambda_c**2 * t / (1.0 + x**2)
         return vacuum if params.temperature == 0.0 else vacuum + 4.0 * params.gamma * _thermal_sum(params, t)[1]
@@ -258,8 +261,8 @@ def cumulative_decay(params: NoiseParams, tau: float, method: str = "closed") ->
         return 0.0
     if method == "closed":
         x = params.lambda_c * tau
-        if x > _SQRT_MAX:
-            vacuum = 4.0 * params.gamma * np.log(x)  # ln(1 + x^2) = 2 ln(x) to double precision
+        if x > _SQRT_MAX:  # ln(1 + x^2) = 2 ln(x) to double precision; L*tau itself may overflow
+            vacuum = 4.0 * params.gamma * (math.log(params.lambda_c) + math.log(tau))
         else:
             vacuum = 2.0 * params.gamma * np.log1p(x**2)
         return vacuum if params.temperature == 0.0 else vacuum + 4.0 * params.gamma * _thermal_sum(params, tau)[0]

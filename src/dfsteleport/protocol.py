@@ -1,10 +1,14 @@
 """End-to-end teleportation run under two-wing dephasing.
 
-Pipeline: assemble the three-qubit state (input qubit times shared resource),
-evolve it to the measurement instant with the common-bath and local factor
-matrices, project the sender's pair onto the Bell basis, apply the receiver's
-conditioned correction, and report per-branch data plus the classical
-communication cost.
+Each Bell outcome leaves the receiver in a 2x2 state known in closed form
+(``_branch_elements``): the psi states carry only the receiver's factor b,
+the phi states carry a*b, the sender's double-flip factor times b, and the
+minus outcomes negate the coherence.  A run reads its four branch states from
+that table, applies the receiver's conditioned correction as a permutation of
+their elements, and reports per-branch data plus the classical communication
+cost.  The three-qubit pipeline these states come from (``build_joint``, the
+factor matrices of ``channels``, a Bell projection) is kept as public support
+for the brute-force oracle of the tests.
 
 Two bookkeeping conventions coexist for the conditional receiver states.  The
 physical one normalizes each branch to unit trace and weights it by its exact
@@ -19,8 +23,9 @@ exposed rather than reconciled.
 The discard strategy keeps only the psi branches, whose conditional states are
 exactly independent of the sender's bath (the common-bath factor matrix is
 unity on the up-down/down-up subspace); the phi branches accumulate the
-product of both wings' factors.  The standard keep-everything protocol remains
-available as a baseline through ``Strategy.RETAIN_ALL``.
+product of both wings' factors.  The standard keep-everything protocol of
+Bennett et al. (PRL 70, 1895, 1993) remains available as a baseline through
+``Strategy.RETAIN_ALL``.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from .channels import alice_factor_matrix, bob_factor_matrix, joint_evolve
 from .noisekernel import DecoherenceFactors, NoiseParams, factors_at
 from .qlinalg import (
+    PSD_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -129,7 +134,8 @@ _BELL_AMPS = {
     BellOutcome.PSI_MINUS: np.array([0.0, _INV_SQRT2, -_INV_SQRT2, 0.0], dtype=complex),
 }
 
-# receiver-side corrections; the phi-minus one matters only for RETAIN_ALL runs
+# receiver-side corrections; the phi-minus one matters only for RETAIN_ALL runs.
+# run_with_factors applies them as element permutations of the branch states
 _CORRECTIONS = {
     BellOutcome.PHI_PLUS: np.eye(2, dtype=complex),
     BellOutcome.PHI_MINUS: SIGMA_Z,
@@ -232,52 +238,65 @@ def classical_bits_for(probabilities: Dict[BellOutcome, float], strategy: Strate
     return _entropy_bits(grouped)
 
 
+def _check_sender_map(factors: DecoherenceFactors) -> None:
+    """Raise unless the sender's common-bath map is positive, whatever the input.
+
+    The map multiplies entrywise by the factor matrix of ``channels``, so it
+    is positive iff that 4x4 matrix is PSD (Schur product theorem).  Its two
+    middle rows are equal, so this holds iff [[1, f, a], [f*, 1, g*],
+    [a*, g, 1]] is PSD; with a unit diagonal and magnitudes <= 1 that is its
+    determinant being >= 0.  Factors from one bath give (1 - x)^2 (1 - x^2)
+    with x = exp(-2G), never negative.
+    """
+    f, g, a = complex(factors.f), complex(factors.g), complex(factors.a)
+    det = 1.0 - abs(f) ** 2 - abs(g) ** 2 - abs(a) ** 2 + 2.0 * (f * g.conjugate() * a.conjugate()).real
+    if det < -PSD_TOL:
+        raise ContractViolationError(f"sender factors f, g, a give a non-positive map (determinant {det!r})")
+
+
 def run_with_factors(
     input_state: BlochAngles,
     resource: ResourceSpec,
     factors: DecoherenceFactors,
     strategy: Strategy = Strategy.RETAIN_PSI_ONLY,
 ) -> ProtocolRun:
-    """Full pipeline with the decoherence factors supplied directly.
+    """Teleportation run with the decoherence factors supplied directly.
 
-    The evolved three-qubit state is the one checked value of a run: it is
-    where caller-supplied factors first meet a state.  The branch states are
-    projections of it and are wrapped without a re-check.
+    Every branch state is a closed form (``_paper_scaled_elements``), with
+    probability (m00 + m11)/4.  The corrections of ``_CORRECTIONS`` only
+    permute its elements: I and Z give (m00, m11, m01), X and iY give
+    (m11, m00, conj m01), so the corrected plus and minus outputs coincide.
+    The caller's factors are checked once, by ``_check_sender_map``; the
+    states built from them are wrapped without a re-check.
     """
-    joint = build_joint(input_state, resource)
-    evolved = joint_evolve(joint, alice_factor_matrix(factors), bob_factor_matrix(factors))
-    rho = evolved.mat.reshape(4, 2, 4, 2)
-    psi_in = input_state.ket().amps
-
+    _check_sender_map(factors)
+    alpha, beta = input_state.alpha, input_state.beta
+    weight_up, weight_down = abs(alpha) ** 2, abs(beta) ** 2
     branches = []
     probabilities: Dict[BellOutcome, float] = {}
-    for outcome in BELL_ORDER:
-        bell = _BELL_AMPS[outcome]
-        unnorm = np.einsum("i,ijkl,k->jl", bell.conj(), rho, bell)
-        prob = float(np.trace(unnorm).real)
+    for outcome, sign, m00, m11, m01 in _paper_scaled_elements(input_state, resource, factors):
+        prob = (m00 + m11) / 4.0
         probabilities[outcome] = prob
-        paper_scaled = _unchecked(4.0 * unnorm, normalized=False)
-        correction = _CORRECTIONS[outcome]
-        corrected_scaled = correction @ (4.0 * unnorm) @ correction.conj().T
-        fidelity_paper = float(np.real(psi_in.conj() @ corrected_scaled @ psi_in))
-        if prob > DEGENERATE_PROB:
-            conditional = _unchecked(unnorm / prob)
-            output = _unchecked(corrected_scaled / (4.0 * prob))
-            fidelity = float(np.real(psi_in.conj() @ output.mat @ psi_in))
+        paper_scaled = np.array([[m00, sign * m01], [sign * m01.conjugate(), m11]])
+        c00, c11, c01 = (m11, m00, m01.conjugate()) if outcome.retained else (m00, m11, m01)
+        fidelity_paper = weight_up * c00 + weight_down * c11 + 2.0 * (alpha.conjugate() * c01 * beta).real
+        degenerate = prob <= DEGENERATE_PROB
+        if degenerate:
+            conditional = output = fidelity = None
         else:
-            conditional = None
-            output = None
-            fidelity = None
+            conditional = _unchecked(paper_scaled / (4.0 * prob))
+            output = _unchecked(np.array([[c00, c01], [c01.conjugate(), c11]]) / (4.0 * prob))
+            fidelity = fidelity_paper / (4.0 * prob)
         branches.append(
             BranchResult(
                 outcome=outcome,
                 probability=prob,
-                bob_paper_scaled=paper_scaled,
+                bob_paper_scaled=_unchecked(paper_scaled, normalized=False),
                 bob_conditional=conditional,
                 bob_output=output,
                 fidelity_vs_input=fidelity,
                 fidelity_paper=fidelity_paper,
-                degenerate=prob <= DEGENERATE_PROB,
+                degenerate=degenerate,
             )
         )
 
@@ -332,6 +351,21 @@ def _branch_elements(resource: ResourceSpec, alpha, beta, coherence):
     raise TypeError(f"unknown resource spec {resource!r}")
 
 
+def _paper_scaled_elements(input_state: BlochAngles, resource: ResourceSpec, factors: DecoherenceFactors):
+    """``(outcome, sign, m00, m11, m01)`` per Bell outcome in ``BELL_ORDER``.
+
+    The outcome's paper-scaled receiver state has populations m00, m11 and
+    coherence sign*m01: psi states read ``_branch_elements`` with coherence b,
+    phi states with the amplitudes swapped and coherence a*b, and the minus
+    outcomes negate m01.
+    """
+    alpha, beta = input_state.alpha, input_state.beta
+    phi = _branch_elements(resource, beta, alpha, factors.a * factors.b)
+    psi = _branch_elements(resource, alpha, beta, factors.b)
+    for outcome, sign, (m00, m11, m01) in zip(BELL_ORDER, (1.0, -1.0, 1.0, -1.0), (phi, phi, psi, psi)):
+        yield outcome, sign, float(m00), float(m11), complex(m01)
+
+
 def analytic_branch_states(
     input_state: BlochAngles,
     resource: ResourceSpec,
@@ -342,12 +376,8 @@ def analytic_branch_states(
     Pure resource: the published trace-4p convention.  Werner resource: unit
     trace (the flat quarter probability makes the two conventions coincide).
     """
-    alpha, beta = input_state.alpha, input_state.beta
-    phi = _branch_elements(resource, beta, alpha, factors.a * factors.b)
-    psi = _branch_elements(resource, alpha, beta, factors.b)
     out: Dict[BellOutcome, DensityOp] = {}
-    signs = (1.0, -1.0, 1.0, -1.0)
-    for outcome, (m00, m11, m01), sign in zip(BELL_ORDER, (phi, phi, psi, psi), signs):
-        m = np.array([[m00, sign * m01], [sign * np.conj(m01), m11]], dtype=complex)
+    for outcome, sign, m00, m11, m01 in _paper_scaled_elements(input_state, resource, factors):
+        m = np.array([[m00, sign * m01], [sign * m01.conjugate(), m11]])
         out[outcome] = DensityOp(m, normalized=isinstance(resource, Werner))
     return out

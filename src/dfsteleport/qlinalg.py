@@ -9,8 +9,8 @@ these are comfortable for double precision at the 8x8 sizes handled here.
 Values are validated once, where they enter the package: a ``DensityOp`` or
 ``PureKet`` that a caller builds runs every structural and spectral check.  A
 state the package derives from checked states through a map that preserves
-Hermiticity, trace and positivity (a projector, a tensor product, a Bell-branch
-projection) is wrapped by ``_unchecked`` without a second
+Hermiticity, trace and positivity (a projector, a tensor product, a
+closed-form branch state) is wrapped by ``_unchecked`` without a second
 eigen-solve.  Values are immutable either way (the wrapped arrays are frozen),
 so everything in this module is safe to share across parallel workers.
 """

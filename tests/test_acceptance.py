@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import random_bloch, random_pure_pair, random_werner
+from conftest import brute_force_run, random_bloch, random_pure_pair, random_werner
 
 from dfsteleport import cli
 from dfsteleport.experiments import (
@@ -117,7 +117,7 @@ def test_criterion_03_oracle_equivalence():
             NoiseParams(rng.uniform(0.0, 1.0), rng.uniform(0.01, 5.0)),
             rng.uniform(0.0, 4.0 * np.pi),
         )
-        run = run_with_factors(ang, resource, factors)
+        run = brute_force_run(ang, resource, factors)
         states = analytic_branch_states(ang, resource, factors)
         for outcome in BELL_ORDER:
             diff = float(np.max(np.abs(run.branch(outcome).bob_paper_scaled.mat - states[outcome].mat)))

@@ -390,6 +390,17 @@ def test_cli_run_survives_huge_decay_arguments(tmp_path, doc):
     assert report["tau"] == doc["tau"]
 
 
+def test_cli_run_keeps_a_weak_decay_past_the_overflow_of_lambda_c_tau(tmp_path):
+    # L*tau = 1e600 overflows, but G = 4*gamma*ln(L*tau) = 0.055 leaves |b| = 0.95
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TABLE1_CONFIG, "tau": 1e300,
+                                    "bob_noise": {"gamma": 1e-5, "lambda_c": 1e300}}))
+    out = tmp_path / "r.json"
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    b = complex(*json.loads(out.read_text())["factors"]["b"])
+    assert abs(b) == pytest.approx(math.exp(-4e-5 * 600.0 * math.log(10.0)), rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "command,doc,field",
     [

@@ -143,6 +143,15 @@ def test_closed_forms_do_not_overflow():
     assert past == pytest.approx(0.2 * np.log1p(edge**2), rel=1e-15)
 
 
+def test_closed_forms_survive_the_overflow_of_lambda_c_tau():
+    # L*tau = 1e600 overflows although G = 4*gamma*ln(L*tau) is small
+    weak = NoiseParams(1e-5, 1e300)
+    assert cumulative_decay(weak, 1e300) == pytest.approx(4e-5 * 600.0 * np.log(10.0), rel=1e-14)
+    assert abs(receiver_factor(weak, 1e300)) == pytest.approx(0.9462371613657931, rel=1e-14)
+    # 4*gamma*L and L*t both overflow; the rate is 4*gamma/(t + 1/(L^2 t)) = 4*gamma/t here
+    assert decay_rate(NoiseParams(2.93e16, 1.54e291), 1.17e17) == pytest.approx(4.0 * 2.93e16 / 1.17e17, rel=1e-15)
+
+
 def test_cumulative_decay_quadrature_vs_closed_form_grid():
     for gamma in (0.05, 0.1, 0.5):
         for lam in (0.01, 0.2, 5.0):
@@ -255,12 +264,18 @@ FINITE = st.floats(min_value=0.0, allow_infinity=False)
 @example(gamma=0.1, lambda_c=0.5, temperature=1e200, tau=1e200)
 @example(gamma=1e300, lambda_c=1e-300, temperature=1e300, tau=1e300)
 @example(gamma=0.1, lambda_c=1e-300, temperature=1.7e308, tau=1e-20)
+@example(gamma=1e-5, lambda_c=1e300, temperature=0.0, tau=1e300)
+@example(gamma=2.93e16, lambda_c=1.54e291, temperature=0.0, tau=1.17e17)
 def test_closed_form_never_overflows_into_nan(gamma, lambda_c, temperature, tau):
     # the decay may overflow to +inf, never to NaN; gamma stops at 1e300 so that
-    # 4*gamma stays finite
+    # 4*gamma stays finite.  At T = 0 the decay 2*gamma*ln(1 + (L*tau)^2) is below
+    # 2840*gamma for every finite L and tau, so it must not overflow either
     p = NoiseParams(gamma, lambda_c, temperature)
     g = cumulative_decay(p, tau)
     assert not math.isnan(g) and g >= 0.0
+    assert not math.isnan(decay_rate(p, tau)) and decay_rate(p, tau) >= 0.0
+    if temperature == 0.0:
+        assert math.isfinite(g)
     if temperature > 0.0 and tau > 0.0:  # both thermal terms, the rate's included
         assert all(not math.isnan(x) and x >= 0.0 for x in _thermal_sum(p, tau))
     b = receiver_factor(p, tau)

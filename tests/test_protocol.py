@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import random_bloch, random_pure_pair, random_werner
+from conftest import brute_force_run, random_bloch, random_pure_pair, random_werner
 
+from dfsteleport import qlinalg
+from dfsteleport.channels import alice_factor_matrix
 from dfsteleport.noisekernel import DecoherenceFactors, NoiseParams, factors_at
 from dfsteleport.protocol import (
     BELL_ORDER,
@@ -12,6 +14,7 @@ from dfsteleport.protocol import (
     Werner,
     _BELL_AMPS,
     _CORRECTIONS,
+    _check_sender_map,
     analytic_branch_states,
     build_joint,
     classical_bits_for,
@@ -262,7 +265,7 @@ def test_brute_force_pipeline_reproduces_analytic_states():
         ang = random_bloch(rng)
         resource = random_pure_pair(rng) if draw % 2 == 0 else random_werner(rng)
         fac = noisy_factors(rng)
-        run = run_with_factors(ang, resource, fac)
+        run = brute_force_run(ang, resource, fac)
         states = analytic_branch_states(ang, resource, fac)
         for outcome in BELL_ORDER:
             # Werner analytic states are unit trace, which equals the
@@ -300,11 +303,13 @@ def test_run_protocol_rejects_negative_tau():
 
 
 def test_run_with_factors_rejects_hand_built_non_physical_factors():
-    # a valid factor grid whose eigenvalues include -1.24: the joint map is not
-    # positive, and the one checked construction of a run must still catch it
+    # a valid factor grid whose eigenvalues include -1.24: the sender's map is
+    # not positive, whatever the input (the poles included, where no state
+    # built from them is negative)
     fac = DecoherenceFactors(f=1.0, g=-1.0, a=1.0, b=1.0, tau=0.0)
-    with pytest.raises(ContractViolationError):
-        run_with_factors(BlochAngles(np.pi / 2.0), PurePair(SQRT_HALF, SQRT_HALF), fac)
+    for theta in (0.0, np.pi / 2.0, np.pi):
+        with pytest.raises(ContractViolationError):
+            run_with_factors(BlochAngles(theta), PurePair(SQRT_HALF, SQRT_HALF), fac)
 
 
 def test_run_with_factors_branch_states_are_frozen():
@@ -314,3 +319,94 @@ def test_run_with_factors_branch_states_are_frozen():
         for state in (branch.bob_paper_scaled, branch.bob_conditional, branch.bob_output):
             with pytest.raises(ValueError):
                 state.mat[0, 0] = 0.0
+
+
+# ---------------------------------------------- closed form against the 8x8 oracle
+
+
+def _oracle_cases(rng):
+    """Random inputs, both resources and strategies, baths at T >= 0 on both wings."""
+    for draw in range(400):
+        alice = NoiseParams(rng.uniform(0.0, 1.0), rng.uniform(0.01, 5.0), (0.0, rng.uniform(0.05, 3.0))[draw % 2])
+        bob = NoiseParams(rng.uniform(0.0, 1.0), rng.uniform(0.01, 5.0), (0.0, rng.uniform(0.05, 3.0))[draw // 2 % 2])
+        resource = random_pure_pair(rng) if draw % 4 < 2 else random_werner(rng)
+        strategy = (Strategy.RETAIN_PSI_ONLY, Strategy.RETAIN_ALL)[draw // 4 % 2]
+        yield random_bloch(rng), resource, factors_at(alice, bob, rng.uniform(0.0, 4.0 * np.pi)), strategy
+    # degenerate branches: a pole input with a product pair, or a noiseless run
+    fac = factors_at(NoiseParams(0.4, 0.7, 1.0), NoiseParams(0.3, 0.9, 0.5), 2.0)
+    for theta in (0.0, np.pi):
+        for resource in (PurePair(0.0, 1.0), PurePair(1.0, 0.0), Werner(1.0)):
+            for strategy in Strategy:
+                yield BlochAngles(theta), resource, fac, strategy
+                yield BlochAngles(theta), resource, factors_at(NOISELESS, NOISELESS, 0.0), strategy
+
+
+def test_closed_form_run_matches_brute_force_oracle():
+    rng = np.random.default_rng(38)
+    degenerate = 0
+    for ang, resource, fac, strategy in _oracle_cases(rng):
+        run, oracle = run_with_factors(ang, resource, fac, strategy), brute_force_run(ang, resource, fac, strategy)
+        assert run.classical_bits == pytest.approx(oracle.classical_bits, abs=1e-14)
+        for got, want in zip(run.branches, oracle.branches):
+            assert got.outcome is want.outcome and got.degenerate is want.degenerate
+            degenerate += got.degenerate
+            assert got.probability == pytest.approx(want.probability, abs=1e-14)
+            assert got.fidelity_paper == pytest.approx(want.fidelity_paper, abs=1e-14)
+            if want.degenerate:
+                assert got.fidelity_vs_input is got.bob_conditional is got.bob_output is None
+            else:
+                assert got.fidelity_vs_input == pytest.approx(want.fidelity_vs_input, abs=1e-14)
+            for name in ("bob_paper_scaled", "bob_conditional", "bob_output"):
+                if getattr(want, name) is not None:
+                    assert np.max(np.abs(getattr(got, name).mat - getattr(want, name).mat)) <= 1e-14, name
+                    assert getattr(got, name).normalized is getattr(want, name).normalized
+    assert degenerate >= 20
+
+
+def test_run_path_does_no_eigen_solve_or_state_check(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run path re-checked a state")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(qlinalg.DensityOp, "__post_init__", forbidden)
+    alice, bob = NoiseParams(0.3, 0.7, 1.0), NoiseParams(0.2, 0.4)
+    for resource in (PurePair(0.6, 0.8), Werner(0.7)):
+        for strategy in Strategy:
+            run_protocol(BlochAngles(1.0, 0.4), resource, alice, bob, 3.0, strategy)
+            run_with_factors(BlochAngles(2.0, 5.0), resource, factors_at(alice, bob, 1.5), strategy)
+
+
+# ------------------------------------------------------------ sender-map check
+
+
+def test_sender_map_check_agrees_with_the_factor_matrix_spectrum():
+    rng = np.random.default_rng(39)
+    checked = {True: 0, False: 0}
+    for _ in range(2000):
+        f, g, a = np.sqrt(rng.uniform(0.0, 1.0, 3)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 3))
+        fac = DecoherenceFactors(f=f, g=g, a=a, b=0.5, tau=1.0)
+        lowest = np.linalg.eigvalsh(alice_factor_matrix(fac).factors).min()
+        # the two equal middle rows pin one eigenvalue at 0, so a positive map
+        # has its lowest eigenvalue at rounding level
+        if -1e-6 < lowest < -1e-12:  # near the tolerance edge
+            continue
+        positive = bool(lowest >= -1e-12)
+        try:
+            _check_sender_map(fac)
+            accepted = True
+        except ContractViolationError:
+            accepted = False
+        assert accepted is positive
+        checked[positive] += 1
+    assert min(checked.values()) >= 100
+
+
+@pytest.mark.parametrize("temperature", (0.0, 0.5, 20.0))
+def test_sender_map_check_accepts_every_physical_factor_set(temperature):
+    bob = NoiseParams(0.1, 0.5)
+    for gamma in (0.0, 1e-8, 0.1, 2.0, 50.0):
+        for lam in (0.01, 1.0, 100.0):
+            alice = NoiseParams(gamma, lam, temperature)
+            for tau in (0.0, 1e-12, 1e-6, 0.3, 6.28, 1e4):
+                _check_sender_map(factors_at(alice, bob, tau))
