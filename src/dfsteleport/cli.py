@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="maximize average fidelity over the timing window")
     add_common(p_opt)
     p_opt.add_argument("--tol-tau", type=_positive_float, default=1e-6,
-                       help="golden-section tolerance on tau (finite, > 0)")
+                       help="tolerance on each optimal tau (finite, > 0)")
 
     p_sweep = sub.add_parser("sweep", help="average fidelity curve over the timing window, CSV")
     add_common(p_sweep)

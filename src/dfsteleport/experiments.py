@@ -23,21 +23,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .metrics import (
-    average_fts_analytic,
-    average_fts_numeric,
-    bloch_fidelity_fn,
-    chsh,
-    concurrence,
-)
-from .noisekernel import DecoherenceFactors, NoiseParams, factors_at
+from .metrics import average_fts_analytic, average_fts_numeric, bloch_fidelity_fn
+from .noisekernel import DecoherenceFactors, NoiseParams, factors_at, phase_integral
 from .optimizer import TimingProblem, grid_points, maximize_timing, sweep
 from .protocol import (
     PurePair,
     ResourceSpec,
     Strategy,
     Werner,
-    resource_state,
     run_with_factors,
 )
 from .qlinalg import BlochAngles
@@ -160,10 +153,13 @@ def _finite_number(val, where: str) -> float:
     return x
 
 
-def _check_phases(tau: float, sender_omega0: float, receiver_omega0: float, where: str) -> None:
-    # factors_at turns the sender's 2*omega0*tau and the receiver's omega0*tau into phases
+def _check_phases(tau: float, sender_omega0: float, receiver_omega0: float, where: str,
+                  sender_bath_phase: float = 0.0) -> None:
+    # factors_at turns the sender's 2*omega0*tau and bath phase and the receiver's omega0*tau into phases
     if not (math.isfinite(2.0 * (sender_omega0 * tau)) and math.isfinite(receiver_omega0 * tau)):
         raise ConfigError(f"{where}: omega0 * tau is too large for a finite phase at tau = {tau!r}")
+    if not math.isfinite(sender_bath_phase):
+        raise ConfigError(f"{where}: the sender's bath phase is not finite at tau = {tau!r}")
 
 
 def _reject_unknown(obj: dict, known, context: str) -> None:
@@ -368,7 +364,8 @@ def run_report(config: ExperimentConfig) -> dict:
     """Full protocol-run report (JSON-ready dict)."""
     if config.tau is None:
         raise ConfigError("run requires a 'tau' field")
-    _check_phases(config.tau, config.alice_noise.omega0, config.bob_noise.omega0, "tau")
+    _check_phases(config.tau, config.alice_noise.omega0, config.bob_noise.omega0, "tau",
+                  phase_integral(config.alice_noise, config.tau))
     factors = factors_at(config.alice_noise, config.bob_noise, config.tau)
     report = {
         "tool": "dfsteleport",
@@ -431,7 +428,11 @@ def _flag(dev: float, tol: float) -> str:
 
 
 def table_pure() -> ResultTable:
-    """Pure-resource fidelity/nonlocality table at the published working point."""
+    """Pure-resource fidelity/nonlocality table at the published working point.
+
+    C = 2*mu*lam and the maximal CHSH value B_max = 2*sqrt(1 + C^2) are closed
+    forms; ``metrics.concurrence`` and ``metrics.chsh`` are their oracles.
+    """
     tau = TWO_PI
     bob = TABLE1_BOB
     b = factors_at(DEFAULT_ALICE, bob, tau).b
@@ -443,9 +444,8 @@ def table_pure() -> ResultTable:
     rows = []
     for c_target, (b_printed, f_printed) in TABLE1_PRINTED.items():
         resource = PurePair.from_concurrence(c_target)
-        state = resource_state(resource)
-        c_val = concurrence(state)
-        b_val = chsh(state).b_max
+        c_val = resource.concurrence
+        b_val = 2.0 * math.sqrt(1.0 + c_val**2)
         f_val = float(average_fts_analytic(resource, b))
         rows.append([
             c_target, c_val,
@@ -461,7 +461,12 @@ def table_pure() -> ResultTable:
 
 
 def table_werner(which: int) -> ResultTable:
-    """Werner-resource tables: 2 = Bell inequality satisfied, 3 = violated."""
+    """Werner-resource tables: 2 = Bell inequality satisfied, 3 = violated.
+
+    C = max(0, (3p - 1)/2) and B_max = 2*sqrt(2)*p are closed forms, and the
+    state violates the CHSH bound iff B_max > 2; ``metrics.concurrence`` and
+    ``metrics.chsh`` are their oracles.
+    """
     printed = {2: TABLE2_PRINTED, 3: TABLE3_PRINTED}.get(which)
     if printed is None:
         raise ConfigError(f"no Werner table {which!r}; expected 2 or 3")
@@ -478,16 +483,15 @@ def table_werner(which: int) -> ResultTable:
     rows = []
     for p, (c_printed, b_printed, f_printed) in printed.items():
         resource = Werner(p)
-        state = resource_state(resource)
-        c_val = concurrence(state)
-        report = chsh(state)
+        c_val = resource.concurrence
+        b_val = 2.0 * math.sqrt(2.0) * p
         f_val = float(average_fts_analytic(resource, b))
         rows.append([
             p,
             c_val, c_printed, c_val - c_printed, _flag(c_val - c_printed, TOL_CONCURRENCE),
-            report.b_max, b_printed, report.b_max - b_printed, _flag(report.b_max - b_printed, TOL_B_MAX),
+            b_val, b_printed, b_val - b_printed, _flag(b_val - b_printed, TOL_B_MAX),
             f_val, f_printed, f_val - f_printed, _flag(f_val - f_printed, TOL_FID_WERNER),
-            "yes" if report.violates else "no",
+            "yes" if b_val > 2.0 else "no",
         ])
     meta = _table_metadata(str(which), bob, tau, {
         "resource": "werner",

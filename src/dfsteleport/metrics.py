@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .noisekernel import DecoherenceFactors
+from .noisekernel import DecoherenceFactors, _gauss_legendre
 from .protocol import PurePair, ResourceSpec, Werner, _branch_elements
 from .qlinalg import (
     PAULIS,
@@ -178,7 +178,7 @@ def average_fts_numeric(
     if method == "quadrature":
         if theta_nodes < 64 or phi_nodes < 64:
             raise ValueError("quadrature needs at least 64 nodes per axis")
-        x, w = np.polynomial.legendre.leggauss(theta_nodes)
+        x, w = _gauss_legendre(theta_nodes)
         theta = 0.5 * np.pi * (x + 1.0)
         wtheta = 0.5 * np.pi * w * np.sin(theta)
         phi = 2.0 * np.pi * np.arange(phi_nodes) / phi_nodes

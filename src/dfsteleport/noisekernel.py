@@ -45,6 +45,7 @@ time grids can be parallelized freely.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -139,11 +140,20 @@ def _coth_over_one(omega: np.ndarray, temperature: float) -> np.ndarray:
     return 1.0 / np.tanh(omega / (2.0 * temperature))
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1].
+
+    Built on first use and kept: each build is an eigen-solve, and building at
+    import would load numpy.polynomial in every process (~1.5 MB resident).
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _panel_integral(fn: Callable[[np.ndarray], np.ndarray], upper: float, n_panels: int) -> float:
-    # 16-point Gauss-Legendre panels, built per call: only the oracle integrates, and
-    # building the rule at import loaded numpy.polynomial and ran an eigen-solve in
-    # every process (~1.5 MB resident)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = _gauss_legendre(16)
     edges = np.linspace(0.0, upper, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -3,31 +3,40 @@
 The sender picks the Bell-measurement instant from pre-shared knowledge of the
 receiver's bath, so the objective is the average fidelity as a function of tau
 for a fixed resource and receiver noise; the sender's own bath never enters
-it, and the objective evaluates only the receiver's factor b.  The cosine
-factor puts maxima near (just below) even multiples of pi, where the decaying
-envelope shifts each stationary point slightly earlier, so reported optima are
-exact stationary points rather than the 2*n*pi landmarks.
+it, and the objective evaluates only the receiver's factor
+b = exp(-i*w0*tau - H(tau)).  Every Bloch average is affine in Re b with a
+slope >= 0 (``metrics``), so the timing optima are the maxima of
+Re b = exp(-H)*cos(w0*tau), whatever the resource and convention.  Its
+derivative is -exp(-H)*h(tau) with
 
-``maximize_timing`` brackets every interior local maximum on a dense grid
-(step at most pi/50) and refines each bracket by golden-section search; the
-window endpoints compete as candidates too.  Ties are broken toward smaller
-tau, favoring the earlier measurement.  tau = 0 trivially maximizes the
-envelope, so meaningful windows start after it (the CLI defaults to pi).
+    h(tau) = Gamma(tau)*cos(w0*tau) + w0*sin(w0*tau),   Gamma = dH/dtau,
+
+so a maximum is where h goes from - to +.  The cosine puts these just below
+even multiples of pi, where the decaying envelope shifts each stationary point
+slightly earlier.  The sign of h never underflows, even where exp(-H) does.
+
+``maximize_timing`` evaluates b once per point of a dense grid (step at most
+pi/50).  Every grid point whose Re b exceeds its left neighbour and is no
+smaller than its right one brackets [tau_{i-1}, tau_{i+1}]; where h goes from
+- to + across that bracket, bisection on the sign of h pins the maximum to
+``tol_tau`` or to the float spacing of tau, whichever is coarser.  The window
+endpoints compete as candidates too.  Ties in fidelity are broken toward
+smaller tau, favoring the earlier measurement.  tau = 0 trivially maximizes
+the envelope, so meaningful windows start after it (the CLI defaults to pi).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .metrics import average_fts_analytic
-from .noisekernel import NoiseParams, receiver_factor
+from .noisekernel import NoiseParams, decay_rate, receiver_factor
 from .protocol import ResourceSpec
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GRID_STEP = math.pi / 50.0
 _TIE_TOL = 1e-12
 
@@ -76,61 +85,70 @@ def grid_points(window: Tuple[float, float]) -> int:
     return max(int(math.ceil(min((hi - lo) / _MAX_GRID_STEP, 2.0**53))) + 1, 3)
 
 
-def sweep(problem: TimingProblem, n_points: int) -> np.ndarray:
-    """Uniform tau grid of (tau, average fidelity) over the problem window."""
+def _curve(problem: TimingProblem, n_points: int) -> Tuple[np.ndarray, List[complex], np.ndarray]:
+    """Uniform tau grid over the window, the receiver factor b and the average fidelity at each point."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    fn = objective_fn(problem)
     taus = np.linspace(problem.window[0], problem.window[1], n_points)
-    values = np.array([fn(t) for t in taus])
+    bs = [receiver_factor(problem.bob_noise, t) for t in taus]
+    values = np.array([float(average_fts_analytic(problem.resource, b, problem.convention)) for b in bs])
+    return taus, bs, values
+
+
+def sweep(problem: TimingProblem, n_points: int) -> np.ndarray:
+    """Uniform tau grid of (tau, average fidelity) over the problem window."""
+    taus, _, values = _curve(problem, n_points)
     return np.column_stack([taus, values])
 
 
-def _golden_max(fn: Objective, lo: float, hi: float, tol: float) -> Tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+def _rate_sign_change(bob: NoiseParams, lo: float, hi: float, tol: float) -> Optional[float]:
+    """Where h (module docstring) goes from - to + in [lo, hi], to ``tol``.
+
+    None unless h(lo) < 0 <= h(hi).  Bisection also stops once the midpoint
+    rounds to an end, so it ends for any ``tol``.
+    """
+
+    def h(tau: float) -> float:
+        w = bob.omega0 * tau
+        return decay_rate(bob, tau) * math.cos(w) + bob.omega0 * math.sin(w)
+
+    if not h(lo) < 0.0 <= h(hi):
+        return None
+    while hi - lo > tol:
+        mid = lo + 0.5 * (hi - lo)
+        if mid in (lo, hi):
+            break
+        if h(mid) < 0.0:
+            lo = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    tau = 0.5 * (a + b)
-    return tau, fn(tau)
+            hi = mid
+    return lo + 0.5 * (hi - lo)
 
 
 def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolution:
-    """Global maximum of the average fidelity over the window, plus all local maxima.
+    """Global maximum of the average fidelity over the window, plus all interior local maxima.
 
-    A grid point that ties both neighbours within ``_TIE_TOL`` is kept as it
-    is: its bracket is flat to the objective's precision.  Golden-section
-    search compares objective values, so on a near-flat maximum ``tol_tau``
-    holds only as far as the values differ.
+    The local maxima are the maxima of Re b, found by bisection on the sign
+    of h (module docstring).  They are the fidelity's maxima whenever its
+    slope in Re b is > 0; a slope-0 resource (concurrence 0 or p = 0) has a
+    constant fidelity and reports them all the same.  ``tau_star`` is the
+    earliest of these maxima and the two window ends whose fidelity is within
+    ``_TIE_TOL`` of the best.
     """
     if tol_tau <= 0.0:
         raise ValueError("tol_tau must be > 0")
     fn = objective_fn(problem)
-    grid = sweep(problem, grid_points(problem.window))
-    taus, values = grid[:, 0], grid[:, 1]
+    taus, bs, values = _curve(problem, grid_points(problem.window))
+    re_b = [b.real for b in bs]
 
-    candidates: list[Tuple[float, float]] = []
     local_maxima: list[Tuple[float, float]] = []
     for i in range(1, len(taus) - 1):
-        if values[i] >= values[i - 1] and values[i] >= values[i + 1]:
-            tau_ref, f_ref = taus[i], values[i]
-            if values[i] - min(values[i - 1], values[i + 1]) > _TIE_TOL * max(1.0, abs(values[i])):
-                tau_gs, f_gs = _golden_max(fn, taus[i - 1], taus[i + 1], tol_tau)
-                if f_gs >= values[i]:  # refinement must never lose to its own bracket
-                    tau_ref, f_ref = tau_gs, f_gs
-            local_maxima.append((tau_ref, f_ref))
-            candidates.append((tau_ref, f_ref))
-    candidates.append((taus[0], values[0]))
-    candidates.append((taus[-1], values[-1]))
+        # strict on the left, so that two grid points tied at the top bracket their maximum once
+        if re_b[i - 1] < re_b[i] >= re_b[i + 1]:
+            tau = _rate_sign_change(problem.bob_noise, taus[i - 1], taus[i + 1], tol_tau)
+            if tau is not None:
+                local_maxima.append((float(tau), fn(tau)))
+    candidates = local_maxima + [(float(taus[0]), float(values[0])), (float(taus[-1]), float(values[-1]))]
 
     best_f = max(f for _, f in candidates)
     tau_star, f_star = min(
@@ -138,8 +156,8 @@ def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolu
         key=lambda tf: tf[0],
     )
     return TimingSolution(
-        tau_star=float(tau_star),
-        f_star=float(f_star),
-        local_maxima=tuple(sorted(local_maxima)),
-        grid=grid,
+        tau_star=tau_star,
+        f_star=f_star,
+        local_maxima=tuple(local_maxima),
+        grid=np.column_stack([taus, values]),
     )

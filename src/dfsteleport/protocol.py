@@ -375,9 +375,11 @@ def analytic_branch_states(
 
     Pure resource: the published trace-4p convention.  Werner resource: unit
     trace (the flat quarter probability makes the two conventions coincide).
+    The states are PSD by construction for any valid factors (|a|, |b| <= 1),
+    so they are wrapped without an eigen-check.
     """
     out: Dict[BellOutcome, DensityOp] = {}
     for outcome, sign, m00, m11, m01 in _paper_scaled_elements(input_state, resource, factors):
         m = np.array([[m00, sign * m01], [sign * m01.conjugate(), m11]])
-        out[outcome] = DensityOp(m, normalized=isinstance(resource, Werner))
+        out[outcome] = _unchecked(m, normalized=isinstance(resource, Werner))
     return out

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsteleport import cli, experiments
+from dfsteleport import cli, experiments, optimizer
 from dfsteleport.experiments import (
     ConfigError,
     DEVIATION_FLAG,
@@ -19,6 +19,8 @@ from dfsteleport.experiments import (
     table_werner,
     to_csv,
 )
+from dfsteleport.metrics import chsh, concurrence
+from dfsteleport.protocol import PurePair, Werner, resource_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -157,6 +159,26 @@ def test_table_pure_rows_and_flags():
     for c in (0.9, 1.0):
         assert row_lookup(table, 0, c)[b_flag] == ""
     assert row_lookup(table, 0, 1.0)[f_col] == pytest.approx(0.9997374321683202, rel=1e-10)
+
+
+def test_table_cells_match_the_eigen_solver_oracles():
+    # the tables use closed forms; metrics.concurrence and metrics.chsh solve
+    # for the same numbers.  The pure-state concurrence takes the square root
+    # of a rank-1 state, whose rounding-level eigenvalues become ~sqrt(eps)
+    # errors, so it agrees only to 1e-7; everything else to rounding
+    for row in table_pure().rows:
+        state = resource_state(PurePair.from_concurrence(row[0]))
+        assert row[1] == pytest.approx(concurrence(state), abs=1e-7)
+        assert row[2] == pytest.approx(chsh(state).b_max, abs=1e-12)
+    for which in (2, 3):
+        table = table_werner(which)
+        col = {name: table.headers.index(name) for name in table.headers}
+        for row in table.rows:
+            state = resource_state(Werner(row[0]))
+            report = chsh(state)
+            assert row[col["concurrence_computed"]] == pytest.approx(concurrence(state), abs=1e-12)
+            assert row[col["b_max_computed"]] == pytest.approx(report.b_max, abs=1e-12)
+            assert row[col["violates_chsh"]] == ("yes" if report.violates else "no")
 
 
 def test_table_werner_values():
@@ -345,6 +367,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         ("run", {"tau": 1e308}, "tau"),
         ("run", {"tau": 1e300, "bob_noise": {"gamma": 0.1, "lambda_c": 0.01, "omega0": 1e9}}, "tau"),
         ("sweep", {"window": [0, 1e308], "n_points": 2}, "window"),
+        # finite, but the sender's bath phase 4*gamma*(L*tau - atan(L*tau)) overflows
+        ("run", {"tau": 1e300, "alice_noise": {"gamma": 0.1, "lambda_c": 1e300}}, "tau"),
+        ("run", {"tau": 1e150, "alice_noise": {"gamma": 0.1, "lambda_c": 1e160}}, "tau"),
     ],
 )
 def test_cli_rejects_non_finite_or_non_numeric_config_values(tmp_path, capsys, command, doc, field):
@@ -354,6 +379,24 @@ def test_cli_rejects_non_finite_or_non_numeric_config_values(tmp_path, capsys, c
     err = capsys.readouterr().err
     assert "config error" in err and field in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_optimize_ends_at_a_tol_tau_below_the_float_spacing(tmp_path, monkeypatch):
+    # one bracket takes ~50 rate evaluations; a loop past the float spacing fails here instead of hanging
+    calls = []
+    real = optimizer.decay_rate
+
+    def bounded(*args):
+        calls.append(args)
+        assert len(calls) <= 64, "bisection did not stop at the float spacing"
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, "decay_rate", bounded)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TABLE1_CONFIG, "window": [np.pi, 3.0 * np.pi]}))
+    out = tmp_path / "opt.json"
+    assert cli.main(["optimize", "--config", str(cfg_path), "--tol-tau", "1e-300", "--out", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["tau_star"] - TWO_PI) <= 0.2
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
@@ -375,6 +418,8 @@ def test_cli_rejects_bad_tol_tau(tmp_path, capsys, tol):
         # hot receiver baths on which the frequency quadrature did not converge
         {"tau": 2000.0, "bob_noise": {"gamma": 0.1, "lambda_c": 50.0, "temperature": 5.0}},
         {"tau": 1e200, "bob_noise": {"gamma": 0.1, "lambda_c": 0.5, "temperature": 1e200}},
+        # the sender's bath phase is 4e307, just inside the float range
+        {"tau": 1e150, "alice_noise": {"gamma": 0.1, "lambda_c": 1e158}},
     ],
 )
 def test_cli_run_survives_huge_decay_arguments(tmp_path, doc):

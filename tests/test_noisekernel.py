@@ -13,6 +13,7 @@ from dfsteleport.noisekernel import (
     NoiseParams,
     NumericAccuracyError,
     _frequency_integral,
+    _gauss_legendre,
     _thermal_sum,
     cumulative_decay,
     decay_rate,
@@ -150,6 +151,16 @@ def test_closed_forms_survive_the_overflow_of_lambda_c_tau():
     assert abs(receiver_factor(weak, 1e300)) == pytest.approx(0.9462371613657931, rel=1e-14)
     # 4*gamma*L and L*t both overflow; the rate is 4*gamma/(t + 1/(L^2 t)) = 4*gamma/t here
     assert decay_rate(NoiseParams(2.93e16, 1.54e291), 1.17e17) == pytest.approx(4.0 * 2.93e16 / 1.17e17, rel=1e-15)
+
+
+def test_gauss_legendre_rule_is_built_once_and_frozen():
+    for n in (16, 64):
+        nodes, weights = _gauss_legendre(n)
+        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
+        assert _gauss_legendre(n)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
 
 
 def test_cumulative_decay_quadrature_vs_closed_form_grid():

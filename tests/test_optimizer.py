@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from dfsteleport.metrics import average_fts_numeric, bloch_fidelity_fn
-from dfsteleport.noisekernel import NoiseParams, factors_at
+from dfsteleport.metrics import average_fts_analytic, average_fts_numeric, bloch_fidelity_fn
+from dfsteleport.noisekernel import NoiseParams, decay_rate, factors_at, receiver_factor
 from dfsteleport import optimizer
 from dfsteleport.optimizer import TimingProblem, grid_points, maximize_timing, objective_fn, sweep
 from dfsteleport.protocol import PurePair, Werner
@@ -134,40 +135,146 @@ def test_maximize_tie_breaks_toward_smaller_tau():
     assert abs(sol.tau_star - TWO_PI) <= 1e-6
 
 
-def count_evaluations(monkeypatch) -> list:
+def count_calls(monkeypatch, name, limit=None) -> list:
+    """Record the tau of every call of ``optimizer.<name>``; fail past ``limit`` calls."""
     taus = []
-    real = optimizer.objective_fn
+    real = getattr(optimizer, name)
 
-    def counting(problem):
-        fn = real(problem)
+    def counted(params, tau, *args):
+        taus.append(tau)
+        if limit is not None and len(taus) > limit:
+            raise AssertionError(f"more than {limit} calls of {name}")
+        return real(params, tau, *args)
 
-        def counted(tau):
-            taus.append(tau)
-            return fn(tau)
-
-        return counted
-
-    monkeypatch.setattr(optimizer, "objective_fn", counting)
+    monkeypatch.setattr(optimizer, name, counted)
     return taus
 
 
-def test_maximize_keeps_tied_grid_points_unrefined(monkeypatch):
-    # a fully decohered receiver flattens the Werner curve to p/6 + 1/2, so
-    # every grid point ties both neighbours and no bracket is refined
-    evaluated = count_evaluations(monkeypatch)
+def rate_h(bob, tau, method="closed"):
+    """h(tau) of the optimizer docstring: d Re b/dtau = -exp(-H) * h."""
+    w = bob.omega0 * tau
+    return decay_rate(bob, tau, method) * np.cos(w) + bob.omega0 * np.sin(w)
+
+
+def golden_max(fn, lo, hi, tol):
+    """Golden-section search on the fidelity itself, the optimizer's former refinement."""
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+# receivers at T = 0 and T > 0, including a tail where |b| ~ 1e-9 at the maximum
+ORACLE_PROBLEMS = [
+    TimingProblem(PurePair.from_concurrence(0.8), NoiseParams(0.1, 0.05), (np.pi, 8.0 * np.pi)),
+    TimingProblem(PurePair.from_concurrence(1.0), NoiseParams(0.1, 0.5, 1.0), (np.pi, 4.0 * np.pi), "physical"),
+    TimingProblem(PurePair(0.6, 0.8), NoiseParams(0.3, 2.0, 0.5), (np.pi, 4.0 * np.pi), "physical"),
+    TimingProblem(Werner.from_concurrence(0.8), NoiseParams(0.239, 3.40, 1.61), (4.75, 10.70)),
+    TimingProblem(Werner(0.5), NoiseParams(0.05, 0.02, 2.0), (0.0, 6.0 * np.pi)),
+    TimingProblem(Werner(0.9), NoiseParams(5.0, 5.0), (np.pi, 4.0 * np.pi)),
+    TimingProblem(PurePair.from_concurrence(0.6), NoiseParams(0.2, 0.3, 0.4, omega0=2.0), (1.0, 7.0)),
+]
+
+
+@pytest.mark.parametrize("problem", ORACLE_PROBLEMS)
+def test_maximize_reports_sign_changes_of_the_rate(problem):
+    tol = 1e-7
+    sol = maximize_timing(problem, tol_tau=tol)
+    assert sol.local_maxima
+    for tau, _ in sol.local_maxima:
+        assert rate_h(problem.bob_noise, tau - tol) < 0.0 <= rate_h(problem.bob_noise, tau + tol)
+    assert sol.tau_star in problem.window or sol.tau_star in [t for t, _ in sol.local_maxima]
+
+
+def test_maximize_agrees_with_golden_section_on_the_fidelity():
+    # golden-section compares fidelities, so it resolves tau only where they
+    # still differ: slope*|b| > 1e-6 keeps its rounding error below 2e-5
+    tol = 1e-4
+    checked = 0
+    for problem in ORACLE_PROBLEMS:
+        fn = objective_fn(problem)
+        slope = fn(0.0) - float(average_fts_analytic(problem.resource, 0.0, problem.convention))
+        for tau, _ in maximize_timing(problem, tol_tau=tol).local_maxima:
+            if slope * abs(receiver_factor(problem.bob_noise, tau)) > 1e-6:
+                step = optimizer._MAX_GRID_STEP
+                assert golden_max(fn, tau - step, tau + step, 1e-9) == pytest.approx(tau, abs=tol)
+                checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("problem", ORACLE_PROBLEMS[:4])
+def test_maximize_roots_match_brentq_on_the_quadrature_rate(problem):
+    tol = 1e-7
+    sol = maximize_timing(problem, tol_tau=tol)
+    for tau, _ in sol.local_maxima:
+        root = brentq(lambda t: rate_h(problem.bob_noise, t, "quadrature"), tau - 1e-3, tau + 1e-3, xtol=1e-12)
+        assert root == pytest.approx(tau, abs=tol)
+
+
+def test_maximize_flat_fidelity_reports_the_maxima_of_re_b(monkeypatch):
+    # a fully decohered receiver flattens the Werner curve to p/6 + 1/2 within
+    # 1e-23, so the earliest candidate, the window start, wins the tie; the
+    # maxima are still those of Re b, one per period, found off the grid
+    evaluated = count_calls(monkeypatch, "receiver_factor")
     problem = TimingProblem(Werner.from_concurrence(0.8), NoiseParams(5.0, 5.0), (np.pi, 4.0 * np.pi))
     sol = maximize_timing(problem)
-    assert len(evaluated) == grid_points(problem.window)
     assert sol.tau_star == problem.window[0]
-    assert set(t for t, _ in sol.local_maxima) <= set(sol.grid[:, 0])
+    assert len(sol.local_maxima) == 2
+    assert not set(t for t, _ in sol.local_maxima) & set(sol.grid[:, 0])
+    # one receiver factor per grid point, and one per reported maximum
+    assert len(evaluated) == grid_points(problem.window) + len(sol.local_maxima)
 
 
-def test_maximize_refines_brackets_that_do_not_tie(monkeypatch):
-    evaluated = count_evaluations(monkeypatch)
+def test_maximize_bisects_each_bracket_off_the_grid(monkeypatch):
+    evaluated = count_calls(monkeypatch, "receiver_factor")
     problem = pure_problem(0.8, 0.1, 0.05, (np.pi, 3.0 * np.pi))
     sol = maximize_timing(problem)
-    assert len(evaluated) > grid_points(problem.window)
+    assert len(sol.local_maxima) == 1
+    assert sol.tau_star == sol.local_maxima[0][0]
     assert sol.tau_star not in set(sol.grid[:, 0])
+    assert len(evaluated) == grid_points(problem.window) + 1
+
+
+def test_maximize_slope_zero_resource_keeps_the_window_start():
+    # concurrence 0: the fidelity is 2/3 everywhere, and Re b has one interior maximum
+    problem = pure_problem(0.0, 0.1, 0.01, (np.pi, 4.0 * np.pi))
+    sol = maximize_timing(problem)
+    assert sol.tau_star == np.pi and sol.f_star == 2.0 / 3.0
+    assert len(sol.local_maxima) == 1
+
+
+def test_maximize_ends_at_any_tol_tau(monkeypatch):
+    # bisection stops once the midpoint rounds to an end: about 50 halvings of
+    # a pi/25 bracket near tau = 2 pi, plus the two ends
+    problem = pure_problem(0.8, 0.1, 0.05, (np.pi, 3.0 * np.pi))
+    rates = count_calls(monkeypatch, "decay_rate", limit=64)
+    sol = maximize_timing(problem, tol_tau=1e-300)
+    assert len(sol.local_maxima) == 1
+    tau = sol.tau_star
+    assert rate_h(problem.bob_noise, tau) == pytest.approx(0.0, abs=1e-14)
+    assert len(rates) <= 64
+
+
+@pytest.mark.parametrize("bob", [NoiseParams(50.0, 50.0), NoiseParams(50.5, 10.0)])
+def test_maximize_finds_no_bracket_where_re_b_underflows(bob):
+    # exp(-H) underflows past H ~ 745: from the window start on the first
+    # receiver, and near tau = 4 on the second, where Re b rises from
+    # negative values into exact zeros.  That rise brackets no sign change
+    # of h, so nothing is reported, and the earliest of the tied ends wins
+    problem = TimingProblem(Werner(0.9), bob, (np.pi, 2.0 * np.pi))
+    sol = maximize_timing(problem)
+    assert sol.local_maxima == ()
+    assert sol.tau_star == np.pi
 
 
 def test_monotone_envelope_in_noise_parameters():

@@ -12,10 +12,21 @@ def test_every_exported_name_resolves():
     assert len(set(dfsteleport.__all__)) == len(dfsteleport.__all__)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency: importing it would double the CLI's start-up time
-    code = "import sys, dfsteleport.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+def modules_loaded_by_cli_import(prefix: str) -> str:
+    """Sorted names of the modules under ``prefix`` that a fresh ``import dfsteleport.cli`` loads."""
+    code = ("import sys, dfsteleport.cli; "
+            f"print(sorted(m for m in sys.modules if m == {prefix!r} or m.startswith({prefix + '.'!r})))")
     src = str(Path(dfsteleport.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}, cwd=src)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency: importing it would double the CLI's start-up time
+    assert modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rules of the quadrature oracles are built on first use
+    assert modules_loaded_by_cli_import("numpy.polynomial") == "[]"

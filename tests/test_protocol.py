@@ -375,6 +375,18 @@ def test_run_path_does_no_eigen_solve_or_state_check(monkeypatch):
         for strategy in Strategy:
             run_protocol(BlochAngles(1.0, 0.4), resource, alice, bob, 3.0, strategy)
             run_with_factors(BlochAngles(2.0, 5.0), resource, factors_at(alice, bob, 1.5), strategy)
+        analytic_branch_states(BlochAngles(0.7, 2.0), resource, factors_at(alice, bob, 2.5))
+
+
+def test_analytic_branch_states_are_psd_for_any_valid_factors():
+    # wrapped without a check: PSD by construction whenever |a|, |b| <= 1
+    rng = np.random.default_rng(41)
+    for draw in range(2000):
+        f, g, a, b = np.sqrt(rng.uniform(0.0, 1.0, 4)) * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 4))
+        fac = DecoherenceFactors(f=f, g=g, a=a, b=b, tau=1.0)
+        resource = random_pure_pair(rng) if draw % 2 == 0 else random_werner(rng)
+        for state in analytic_branch_states(random_bloch(rng), resource, fac).values():
+            assert np.linalg.eigvalsh(state.mat).min() >= -1e-12
 
 
 # ------------------------------------------------------------ sender-map check
