@@ -11,10 +11,14 @@ which the quadrature and Monte-Carlo averagers here exist to cross-check.
 For a non-maximal pure resource the trace-4p bookkeeping makes the pointwise
 value exceed one near the poles; the physical (unit-trace, retention-
 conditioned) convention stays within [0, 1] and is exposed alongside.  It
-coincides with the paper's for Werner and balanced pure resources.  For a
-pure resource, u = cos^2(theta/2) is uniform over the sphere and the
-physical pointwise value 1 - u(1-u)(1 - C Re b) / (mu^2 + (lam^2 - mu^2) u)
-does not depend on phi, so with C = 2 mu lam and q = |lam^2 - mu^2|
+coincides with the paper's for Werner and balanced pure resources.  A run
+evaluates the pointwise value once on the 64x64 quadrature grid and once on
+the Monte-Carlo sample set, and reads both conventions from each evaluation,
+so for a Werner resource the two numeric averages are the same numbers by
+construction.  For a pure resource, u = cos^2(theta/2) is uniform over the
+sphere and the physical pointwise value
+1 - u(1-u)(1 - C Re b) / (mu^2 + (lam^2 - mu^2) u) does not depend on phi,
+so with C = 2 mu lam and q = |lam^2 - mu^2|
 
     physical pure:    F = 1 - (1 - C Re b) * J(q)
     J(q) = [q - (1 - q^2) artanh(q)] / (2 q^3) = sum_k>=1 q^(2k-2) / (4k^2 - 1)
@@ -32,7 +36,7 @@ sum exceeds one, with maximal violation 2*sqrt(sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -120,6 +124,30 @@ def average_fts_analytic(resource: ResourceSpec, b: complex, convention: str = "
     raise TypeError(f"unknown resource spec {resource!r}")
 
 
+def _fidelity_and_trace(resource: ResourceSpec, b: complex, theta, phi):
+    """Paper-convention pointwise fidelity and the branch trace m00 + m11 at (theta, phi).
+
+    Both are real arrays; the complex amplitudes and elements end with the call.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    alpha = np.cos(theta / 2.0)
+    beta = np.sin(theta / 2.0) * np.exp(1j * phi)
+    m00, m11, m01 = _branch_elements(resource, alpha, beta, b)
+    # <in| X rho X |in>: the sigma_x correction swaps the diagonal and conjugates m01
+    val = (
+        alpha**2 * m11
+        + np.abs(beta) ** 2 * m00
+        + 2.0 * np.real(alpha * np.conj(beta) * m01)
+    )
+    return val, m11 + m00
+
+
+def _normalized(val, trace):
+    """The physical (unit-trace) pointwise value; NaN where the branch has no weight."""
+    return np.where(trace > 0.0, val / np.where(trace > 0.0, trace, 1.0), np.nan)
+
+
 def bloch_fidelity_fn(
     resource: ResourceSpec,
     factors: DecoherenceFactors,
@@ -140,23 +168,48 @@ def bloch_fidelity_fn(
     normalize = convention == "physical" and isinstance(resource, PurePair)
 
     def fn(theta, phi):
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        alpha = np.cos(theta / 2.0)
-        beta = np.sin(theta / 2.0) * np.exp(1j * phi)
-        m00, m11, m01 = _branch_elements(resource, alpha, beta, b)
-        # <in| X rho X |in>: the sigma_x correction swaps the diagonal and conjugates m01
-        val = (
-            alpha**2 * m11
-            + np.abs(beta) ** 2 * m00
-            + 2.0 * np.real(alpha * np.conj(beta) * m01)
-        )
-        if normalize:
-            trace = m11 + m00
-            val = np.where(trace > 0.0, val / np.where(trace > 0.0, trace, 1.0), np.nan)
-        return val
+        val, trace = _fidelity_and_trace(resource, b, theta, phi)
+        return _normalized(val, trace) if normalize else val
 
     return fn
+
+
+def _bloch_points(method: str, theta_nodes: int = 64, phi_nodes: int = 64,
+                  samples: int = 100_000, seed: int | np.random.Generator = 0):
+    """``(theta, phi, reduce)``: the method's points on the sphere and the map
+    from the values there to their ``NumericAverage``."""
+    if method == "quadrature":
+        if theta_nodes < 64 or phi_nodes < 64:
+            raise ValueError("quadrature needs at least 64 nodes per axis")
+        x, w = _gauss_legendre(theta_nodes)
+        theta = 0.5 * np.pi * (x + 1.0)
+        wtheta = 0.5 * np.pi * w * np.sin(theta)
+        phi = 2.0 * np.pi * np.arange(phi_nodes) / phi_nodes
+        grid_t, grid_p = np.meshgrid(theta, phi, indexing="ij")
+
+        def reduce(vals) -> NumericAverage:
+            value = float(np.dot(wtheta, vals.reshape(theta_nodes, phi_nodes).mean(axis=1)) / 2.0)
+            return NumericAverage(value=value, stderr=None, method="quadrature", samples=theta_nodes * phi_nodes)
+
+        return grid_t.ravel(), grid_p.ravel(), reduce
+    if method == "montecarlo":
+        if samples < 2:
+            raise ValueError("montecarlo needs at least 2 samples")
+        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        cos_theta = rng.uniform(-1.0, 1.0, samples)
+        theta = np.arccos(cos_theta)
+        phi = rng.uniform(0.0, 2.0 * np.pi, samples)
+
+        def reduce(vals) -> NumericAverage:
+            value = float(np.mean(vals))
+            stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
+            widened = samples < _MIN_MC_SAMPLES
+            if widened:
+                stderr *= 2.0
+            return NumericAverage(value=value, stderr=stderr, method="montecarlo", samples=samples, widened=widened)
+
+        return theta, phi, reduce
+    raise ValueError(f"unknown method {method!r}")
 
 
 def average_fts_numeric(
@@ -175,32 +228,26 @@ def average_fts_numeric(
     a seeded generator and reports the standard error; below 1000 samples the
     error bar is doubled and flagged ``widened`` rather than trusted.
     """
-    if method == "quadrature":
-        if theta_nodes < 64 or phi_nodes < 64:
-            raise ValueError("quadrature needs at least 64 nodes per axis")
-        x, w = _gauss_legendre(theta_nodes)
-        theta = 0.5 * np.pi * (x + 1.0)
-        wtheta = 0.5 * np.pi * w * np.sin(theta)
-        phi = 2.0 * np.pi * np.arange(phi_nodes) / phi_nodes
-        grid_t, grid_p = np.meshgrid(theta, phi, indexing="ij")
-        vals = pointwise(grid_t.ravel(), grid_p.ravel()).reshape(theta_nodes, phi_nodes)
-        value = float(np.dot(wtheta, vals.mean(axis=1)) / 2.0)
-        return NumericAverage(value=value, stderr=None, method="quadrature", samples=theta_nodes * phi_nodes)
-    if method == "montecarlo":
-        if samples < 2:
-            raise ValueError("montecarlo needs at least 2 samples")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        cos_theta = rng.uniform(-1.0, 1.0, samples)
-        theta = np.arccos(cos_theta)
-        phi = rng.uniform(0.0, 2.0 * np.pi, samples)
-        vals = pointwise(theta, phi)
-        value = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
-        widened = samples < _MIN_MC_SAMPLES
-        if widened:
-            stderr *= 2.0
-        return NumericAverage(value=value, stderr=stderr, method="montecarlo", samples=samples, widened=widened)
-    raise ValueError(f"unknown method {method!r}")
+    theta, phi, reduce = _bloch_points(method, theta_nodes, phi_nodes, samples, seed)
+    return reduce(pointwise(theta, phi))
+
+
+def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
+                      seed: int) -> Dict[str, Tuple[NumericAverage, NumericAverage]]:
+    """``{convention: (quadrature, montecarlo)}`` at the default node and sample counts.
+
+    Each point set is evaluated once and serves both conventions, so every
+    average equals ``average_fts_numeric(bloch_fidelity_fn(resource, factors,
+    convention), method, seed=seed)`` bit for bit.  Werner branch states have
+    unit trace, so their physical averages are the paper ones.
+    """
+    paper, physical = [], []
+    for method in ("quadrature", "montecarlo"):
+        theta, phi, reduce = _bloch_points(method, seed=seed)
+        val, trace = _fidelity_and_trace(resource, factors.b, theta, phi)
+        paper.append(reduce(val))
+        physical.append(reduce(_normalized(val, trace)) if isinstance(resource, PurePair) else paper[-1])
+    return {"paper": tuple(paper), "physical": tuple(physical)}
 
 
 def concurrence(rho: DensityOp) -> float:

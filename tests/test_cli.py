@@ -10,6 +10,7 @@ from dfsteleport import cli, experiments, optimizer
 from dfsteleport.experiments import (
     ConfigError,
     DEVIATION_FLAG,
+    TOL_CONCURRENCE,
     figure_curve,
     optimize_report,
     parse_config,
@@ -195,6 +196,26 @@ def test_table_werner_values():
     assert row85[table3.headers.index("violates_chsh")] == "yes"
     with pytest.raises(ConfigError):
         table_werner(4)
+
+
+def test_flags_leave_a_deviation_at_its_tolerance_unflagged():
+    # (3p - 1)/2 lies 0.005 = TOL_CONCURRENCE from its printed two decimals at
+    # these rows; in binary the deviation lands on either side of the tolerance
+    for which, p in ((2, 0.69), (3, 0.75), (3, 0.85), (3, 0.95)):
+        table = table_werner(which)
+        row = row_lookup(table, 0, p)
+        assert abs(row[table.headers.index("concurrence_deviation")]) == pytest.approx(TOL_CONCURRENCE, abs=1e-12)
+        assert row[table.headers.index("concurrence_flag")] == ""
+    for which in (2, 3):
+        assert DEVIATION_FLAG not in {cell for row in table_werner(which).rows for cell in row}
+    table = table_pure()
+    flagged = {
+        name: [row[0] for row in table.rows if row[table.headers.index(f"{name}_flag")] == DEVIATION_FLAG]
+        for name in ("b_max", "avg_fidelity")
+    }
+    assert flagged == {"b_max": [0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.8], "avg_fidelity": [0.4, 0.5]}
+    assert experiments._flag(-0.0050000000000001155, TOL_CONCURRENCE) == ""
+    assert experiments._flag(0.0051, TOL_CONCURRENCE) == DEVIATION_FLAG
 
 
 def test_table_csv_is_rectangular_and_finite():

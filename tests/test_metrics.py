@@ -4,7 +4,8 @@ from scipy import integrate
 
 from conftest import random_bloch, random_density, random_pure_pair, random_unitary, random_werner
 
-from dfsteleport.experiments import parse_config, run_report
+from dfsteleport import metrics
+from dfsteleport.experiments import _average_blocks, parse_config, run_report
 from dfsteleport.metrics import (
     _average_fts_pure_physical,
     average_fts_analytic,
@@ -295,6 +296,57 @@ def test_fidelity_report_conventions():
     # Werner: conventions coincide and the closed form stays available
     werner = _run_report({"kind": "werner", "p": 0.8})["average_fts"]["physical"]
     assert werner["quadrature"] == pytest.approx(werner["analytic"], abs=1e-8)
+
+
+@pytest.mark.parametrize("resource,b", [
+    (PurePair.from_concurrence(1.0), 0.93 + 0.2j),
+    (PurePair(mu=0.6, lam=0.8), 0.93 + 0.2j),
+    (Werner(0.8), 0.93 + 0.2j),
+    (PurePair(mu=0.8, lam=0.6), 0.0),
+    (Werner(0.4), 0.0),
+])
+def test_average_blocks_equal_the_public_averager_bit_for_bit(resource, b):
+    # one evaluation per point set serves both conventions with the same numbers
+    seed = 19
+    fac = factors_with_b(b)
+    blocks = _average_blocks(resource, fac, seed)
+    for convention in ("paper", "physical"):
+        fn = bloch_fidelity_fn(resource, fac, convention)
+        quad = average_fts_numeric(fn, "quadrature", seed=seed)
+        mc = average_fts_numeric(fn, "montecarlo", seed=seed)
+        assert blocks[convention] == {
+            "analytic": float(average_fts_analytic(resource, b, convention)),
+            "quadrature": quad.value,
+            "montecarlo": mc.value,
+            "montecarlo_stderr": mc.stderr,
+        }
+    if isinstance(resource, Werner):
+        assert blocks["physical"] == blocks["paper"]
+
+
+@pytest.mark.parametrize("resource,normalized", [
+    ({"kind": "pure", "mu": 0.6, "lambda": 0.8}, [64 * 64, 100_000]),
+    ({"kind": "werner", "p": 0.8}, []),
+])
+def test_run_report_evaluates_each_point_set_once(monkeypatch, resource, normalized):
+    # the grid and the samples, once each and not once per convention; a
+    # Werner trace is one, so its physical averages reuse the paper ones
+    sizes = {"_fidelity_and_trace": [], "_normalized": []}
+
+    def counting(name):
+        fn = getattr(metrics, name)
+
+        def counted(*args):
+            sizes[name].append(np.size(args[-1]))
+            return fn(*args)
+
+        return counted
+
+    for name in sizes:
+        monkeypatch.setattr(metrics, name, counting(name))
+    _run_report(resource)
+    assert sorted(sizes["_fidelity_and_trace"]) == [64 * 64, 100_000]
+    assert sorted(sizes["_normalized"]) == normalized
 
 
 # ---------------------------------------------------------------- concurrence
