@@ -16,13 +16,12 @@ __version__ = "0.1.0"
 from .channels import FactorMatrix, alice_factor_matrix, apply_channel, bob_factor_matrix, joint_evolve
 from .metrics import (
     NonlocalityReport,
+    average_fts_affine,
+    average_fts_analytic,
     average_fts_numeric,
-    average_fts_pure,
-    average_fts_werner,
     bloch_fidelity_fn,
     chsh,
     concurrence,
-    fidelity_pointwise,
 )
 from .noisekernel import (
     DecoherenceFactors,
@@ -33,7 +32,6 @@ from .noisekernel import (
     factors_at,
     phase_integral,
     receiver_factor,
-    spectral_density,
 )
 from .optimizer import TimingProblem, TimingSolution, maximize_timing, sweep
 from .protocol import (
@@ -66,14 +64,13 @@ __all__ = [
     "UnsupportedDimensionError", "eig_hermitian", "mat_sqrt_psd", "tensor",
     "DecoherenceFactors", "NoiseParams", "NumericAccuracyError",
     "cumulative_decay", "decay_rate", "factors_at", "phase_integral",
-    "receiver_factor", "spectral_density",
+    "receiver_factor",
     "FactorMatrix", "alice_factor_matrix", "apply_channel",
     "bob_factor_matrix", "joint_evolve",
     "BellOutcome", "BranchResult", "ProtocolRun", "PurePair", "Strategy",
     "Werner", "analytic_branch_states", "build_joint", "resource_state",
     "run_protocol", "run_with_factors",
-    "NonlocalityReport", "average_fts_numeric", "average_fts_pure",
-    "average_fts_werner", "bloch_fidelity_fn", "chsh", "concurrence",
-    "fidelity_pointwise",
+    "NonlocalityReport", "average_fts_affine", "average_fts_analytic",
+    "average_fts_numeric", "bloch_fidelity_fn", "chsh", "concurrence",
     "TimingProblem", "TimingSolution", "maximize_timing", "sweep",
 ]

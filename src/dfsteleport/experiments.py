@@ -17,14 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import __version__
 from .metrics import _numeric_averages, average_fts_analytic
-from .noisekernel import DecoherenceFactors, NoiseParams, factors_at, phase_integral
+from .noisekernel import DecoherenceFactors, NoiseParams, factors_at, phase_integral, receiver_factor
 from .optimizer import TimingProblem, grid_points, maximize_timing, sweep
 from .protocol import (
     PurePair,
@@ -126,7 +126,32 @@ class ExperimentConfig:
     convention: str
     seed: int
     n_points: int
-    canonical: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def canonical(self) -> dict:
+        """The fields as the JSON document whose hash every artifact embeds."""
+        if isinstance(self.resource, PurePair):
+            res = {"kind": "pure", "mu": self.resource.mu, "lambda": self.resource.lam}
+        else:
+            res = {"kind": "werner", "p": self.resource.p}
+        out = {
+            "resource": res,
+            "alice_noise": _noise_dict(self.alice_noise),
+            "bob_noise": _noise_dict(self.bob_noise),
+            "strategy": self.strategy.value,
+            "convention": self.convention,
+            "seed": self.seed,
+            "n_points": self.n_points,
+        }
+        if self.tau is not None:
+            out["tau"] = self.tau
+        if self.window is not None:
+            out["window"] = list(self.window)
+        out["input"] = (
+            "average" if self.input_state is None
+            else {"theta": self.input_state.theta, "phi": self.input_state.phi}
+        )
+        return out
 
 
 @dataclass(frozen=True)
@@ -279,8 +304,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(n_points, int) or n_points < 2:
         raise ConfigError(f"n_points: expected an integer >= 2, got {n_points!r}")
 
-    canonical = _canonical_dict(resource, alice, bob, tau, window, input_state,
-                                strategy, convention, seed, n_points)
     return ExperimentConfig(
         resource=resource,
         alice_noise=alice,
@@ -292,39 +315,12 @@ def parse_config(doc: dict) -> ExperimentConfig:
         convention=convention,
         seed=seed,
         n_points=n_points,
-        canonical=canonical,
     )
 
 
 def _noise_dict(p: NoiseParams) -> dict:
     return {"gamma": p.gamma, "lambda_c": p.lambda_c,
             "temperature": p.temperature, "omega0": p.omega0}
-
-
-def _canonical_dict(resource, alice, bob, tau, window, input_state,
-                    strategy, convention, seed, n_points) -> dict:
-    if isinstance(resource, PurePair):
-        res = {"kind": "pure", "mu": resource.mu, "lambda": resource.lam}
-    else:
-        res = {"kind": "werner", "p": resource.p}
-    out = {
-        "resource": res,
-        "alice_noise": _noise_dict(alice),
-        "bob_noise": _noise_dict(bob),
-        "strategy": strategy.value,
-        "convention": convention,
-        "seed": seed,
-        "n_points": n_points,
-    }
-    if tau is not None:
-        out["tau"] = tau
-    if window is not None:
-        out["window"] = list(window)
-    out["input"] = (
-        "average" if input_state is None
-        else {"theta": input_state.theta, "phi": input_state.phi}
-    )
-    return out
 
 
 def config_hash(canonical: dict) -> str:
@@ -435,7 +431,7 @@ def table_pure() -> ResultTable:
     """
     tau = TWO_PI
     bob = TABLE1_BOB
-    b = factors_at(DEFAULT_ALICE, bob, tau).b
+    b = receiver_factor(bob, tau)
     headers = [
         "concurrence", "c_computed",
         "b_max_computed", "b_max_printed", "b_max_deviation", "b_max_flag",
@@ -472,7 +468,7 @@ def table_werner(which: int) -> ResultTable:
         raise ConfigError(f"no Werner table {which!r}; expected 2 or 3")
     tau = TWO_PI
     bob = WERNER_TABLE_BOB
-    b = factors_at(DEFAULT_ALICE, bob, tau).b
+    b = receiver_factor(bob, tau)
     headers = [
         "p",
         "concurrence_computed", "concurrence_printed", "concurrence_deviation", "concurrence_flag",

@@ -1,13 +1,19 @@
 """Teleportation fidelity, Wootters concurrence, and CHSH nonlocality.
 
 The pointwise fidelity is the overlap of the unknown input with the corrected
-receiver state.  Averaging the retained-branch fidelity uniformly over the
-input Bloch sphere gives the closed forms
+receiver state.  Averaged uniformly over the input Bloch sphere, the retained-
+branch fidelity is affine in Re b, F = f0 + slope * Re b, and
+``average_fts_affine`` is the one place that knows the coefficients:
 
-    pure resource:    F = 2/3 + (1/3) * (mu*lam* b + conj(mu*lam* b))
-    Werner resource:  F = (p/6) * (b + conj(b)) + p/6 + 1/2
+    resource, convention     f0            slope
+    pure, paper              2/3           C/3
+    pure, physical           1 - J(q)      C * J(q)
+    Werner, either           1/2 + p/6     p/3
 
-which the quadrature and Monte-Carlo averagers here exist to cross-check.
+with C = 2 mu lam the pure pair's concurrence and q = |lam^2 - mu^2|.  Every
+slope is >= 0, the premise of ``optimizer``.  The quadrature and Monte-Carlo
+averagers here exist to cross-check these closed forms.
+
 For a non-maximal pure resource the trace-4p bookkeeping makes the pointwise
 value exceed one near the poles; the physical (unit-trace, retention-
 conditioned) convention stays within [0, 1] and is exposed alongside.  It
@@ -18,9 +24,8 @@ so for a Werner resource the two numeric averages are the same numbers by
 construction.  For a pure resource, u = cos^2(theta/2) is uniform over the
 sphere and the physical pointwise value
 1 - u(1-u)(1 - C Re b) / (mu^2 + (lam^2 - mu^2) u) does not depend on phi,
-so with C = 2 mu lam and q = |lam^2 - mu^2|
+which integrates to the physical row above with
 
-    physical pure:    F = 1 - (1 - C Re b) * J(q)
     J(q) = [q - (1 - q^2) artanh(q)] / (2 q^3) = sum_k>=1 q^(2k-2) / (4k^2 - 1)
 
 with J(0) = 1/3 (the paper value) and J(1) = 1/2.  The direct form cancels
@@ -45,7 +50,6 @@ from .protocol import PurePair, ResourceSpec, Werner, _branch_elements
 from .qlinalg import (
     PAULIS,
     SIGMA_Y,
-    BlochAngles,
     DensityOp,
     eig_hermitian,
     mat_sqrt_psd,
@@ -54,6 +58,7 @@ from .qlinalg import (
 PointwiseFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _MIN_MC_SAMPLES = 1000
+_NODES = 64  # Gauss-Legendre nodes in theta and trapezoid nodes in phi
 
 
 @dataclass(frozen=True)
@@ -68,37 +73,21 @@ class NonlocalityReport:
 class NumericAverage:
     value: float
     stderr: Optional[float]
-    method: str
-    samples: int
     widened: bool = False
 
 
-def fidelity_pointwise(input_state: BlochAngles, output: DensityOp | np.ndarray) -> float:
-    """Overlap <psi_in| rho |psi_in> (real by Hermiticity)."""
-    mat = output.mat if isinstance(output, DensityOp) else np.asarray(output, dtype=complex)
-    if mat.shape != (2, 2):
-        raise ValueError(f"output must be a single-qubit operator, got shape {mat.shape}")
-    psi = input_state.ket().amps
-    return float(np.real(psi.conj() @ mat @ psi))
-
-
-def average_fts_pure(mu: float, lam: float, b: complex) -> float:
-    """Bloch-averaged fidelity for the pure resource in the trace-4p convention."""
-    if abs(mu**2 + lam**2 - 1.0) > 1e-12:
-        raise ValueError("mu^2 + lam^2 must be 1")
-    return 2.0 / 3.0 + (2.0 / 3.0) * np.real(mu * np.conj(lam) * b)
-
-
-def average_fts_werner(p: float, b: complex) -> float:
-    """Bloch-averaged fidelity for the Werner resource."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError("p must be in [0, 1]")
-    return (p / 3.0) * np.real(b) + p / 6.0 + 0.5
-
-
-def _average_fts_pure_physical(mu: float, lam: float, b: complex) -> float:
-    """Bloch-averaged fidelity for the pure resource in the physical convention."""
-    q = abs(lam**2 - mu**2)
+def average_fts_affine(resource: ResourceSpec, convention: str = "paper") -> Tuple[float, float]:
+    """``(f0, slope)`` with Bloch-averaged fidelity f0 + slope * Re b (table in the module docstring)."""
+    if convention not in ("paper", "physical"):
+        raise ValueError(f"unknown convention {convention!r}")
+    if isinstance(resource, Werner):
+        return 0.5 + resource.p / 6.0, resource.p / 3.0
+    if not isinstance(resource, PurePair):
+        raise TypeError(f"unknown resource spec {resource!r}")
+    c = resource.concurrence
+    if convention == "paper":
+        return 2.0 / 3.0, c / 3.0
+    q = abs(resource.lam**2 - resource.mu**2)
     if q >= 1.0:
         j = 0.5
     elif q < 0.2:
@@ -106,22 +95,13 @@ def _average_fts_pure_physical(mu: float, lam: float, b: complex) -> float:
         j = sum(q ** (2 * k - 2) / (4 * k * k - 1) for k in range(11, 0, -1))
     else:
         j = (q - (1.0 - q * q) * np.arctanh(q)) / (2.0 * q**3)
-    return 1.0 - (1.0 - 2.0 * np.real(mu * lam * b)) * j
+    return 1.0 - j, c * j
 
 
 def average_fts_analytic(resource: ResourceSpec, b: complex, convention: str = "paper") -> float:
-    """Closed-form Bloch average of the retained-branch fidelity.
-
-    ``convention`` is "paper" or "physical", already checked where it entered
-    (``TimingProblem``, ``bloch_fidelity_fn``).
-    """
-    if isinstance(resource, PurePair):
-        if convention == "physical":
-            return _average_fts_pure_physical(resource.mu, resource.lam, b)
-        return average_fts_pure(resource.mu, resource.lam, b)
-    if isinstance(resource, Werner):
-        return average_fts_werner(resource.p, b)
-    raise TypeError(f"unknown resource spec {resource!r}")
+    """Closed-form Bloch average of the retained-branch fidelity at receiver factor ``b``."""
+    f0, slope = average_fts_affine(resource, convention)
+    return f0 + slope * complex(b).real
 
 
 def _fidelity_and_trace(resource: ResourceSpec, b: complex, theta, phi):
@@ -174,22 +154,19 @@ def bloch_fidelity_fn(
     return fn
 
 
-def _bloch_points(method: str, theta_nodes: int = 64, phi_nodes: int = 64,
-                  samples: int = 100_000, seed: int | np.random.Generator = 0):
+def _bloch_points(method: str, samples: int = 100_000, seed: int | np.random.Generator = 0):
     """``(theta, phi, reduce)``: the method's points on the sphere and the map
     from the values there to their ``NumericAverage``."""
     if method == "quadrature":
-        if theta_nodes < 64 or phi_nodes < 64:
-            raise ValueError("quadrature needs at least 64 nodes per axis")
-        x, w = _gauss_legendre(theta_nodes)
+        x, w = _gauss_legendre(_NODES)
         theta = 0.5 * np.pi * (x + 1.0)
         wtheta = 0.5 * np.pi * w * np.sin(theta)
-        phi = 2.0 * np.pi * np.arange(phi_nodes) / phi_nodes
+        phi = 2.0 * np.pi * np.arange(_NODES) / _NODES
         grid_t, grid_p = np.meshgrid(theta, phi, indexing="ij")
 
         def reduce(vals) -> NumericAverage:
-            value = float(np.dot(wtheta, vals.reshape(theta_nodes, phi_nodes).mean(axis=1)) / 2.0)
-            return NumericAverage(value=value, stderr=None, method="quadrature", samples=theta_nodes * phi_nodes)
+            value = float(np.dot(wtheta, vals.reshape(_NODES, _NODES).mean(axis=1)) / 2.0)
+            return NumericAverage(value=value, stderr=None)
 
         return grid_t.ravel(), grid_p.ravel(), reduce
     if method == "montecarlo":
@@ -206,7 +183,7 @@ def _bloch_points(method: str, theta_nodes: int = 64, phi_nodes: int = 64,
             widened = samples < _MIN_MC_SAMPLES
             if widened:
                 stderr *= 2.0
-            return NumericAverage(value=value, stderr=stderr, method="montecarlo", samples=samples, widened=widened)
+            return NumericAverage(value=value, stderr=stderr, widened=widened)
 
         return theta, phi, reduce
     raise ValueError(f"unknown method {method!r}")
@@ -216,19 +193,17 @@ def average_fts_numeric(
     pointwise: PointwiseFn,
     method: str = "quadrature",
     *,
-    theta_nodes: int = 64,
-    phi_nodes: int = 64,
     samples: int = 100_000,
     seed: int | np.random.Generator = 0,
 ) -> NumericAverage:
     """Bloch-sphere average (1/4pi) int f sin(theta) dtheta dphi.
 
     Quadrature uses Gauss-Legendre in theta times a uniform periodic trapezoid
-    in phi (both >= 64 nodes).  Monte-Carlo samples the sphere uniformly with
+    in phi, 64 nodes each.  Monte-Carlo samples the sphere uniformly with
     a seeded generator and reports the standard error; below 1000 samples the
     error bar is doubled and flagged ``widened`` rather than trusted.
     """
-    theta, phi, reduce = _bloch_points(method, theta_nodes, phi_nodes, samples, seed)
+    theta, phi, reduce = _bloch_points(method, samples, seed)
     return reduce(pointwise(theta, phi))
 
 

@@ -126,13 +126,6 @@ class DecoherenceFactors:
             raise ValueError("tau must be >= 0")
 
 
-def spectral_density(params: NoiseParams, omega: np.ndarray | float) -> np.ndarray | float:
-    """Ohmic spectral density gamma * w * exp(-w / lambda_c)."""
-    w = np.asarray(omega, dtype=float)
-    out = params.gamma * w * np.exp(-w / params.lambda_c)
-    return out if out.ndim else float(out)
-
-
 def _coth_over_one(omega: np.ndarray, temperature: float) -> np.ndarray:
     # coth(w/2T); tanh keeps both the w->0 and w->inf ends overflow-free
     if temperature == 0.0:

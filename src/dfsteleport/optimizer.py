@@ -4,10 +4,18 @@ The sender picks the Bell-measurement instant from pre-shared knowledge of the
 receiver's bath, so the objective is the average fidelity as a function of tau
 for a fixed resource and receiver noise; the sender's own bath never enters
 it, and the objective evaluates only the receiver's factor
-b = exp(-i*w0*tau - H(tau)).  Every Bloch average is affine in Re b with a
-slope >= 0 (``metrics``), so the timing optima are the maxima of
-Re b = exp(-H)*cos(w0*tau), whatever the resource and convention.  Its
-derivative is -exp(-H)*h(tau) with
+b = exp(-i*w0*tau - H(tau)).  Every Bloch average is affine in Re b,
+F = f0 + slope * Re b, with one coefficient pair per resource and convention
+(``metrics.average_fts_affine``):
+
+    resource, convention     f0            slope
+    pure, paper              2/3           C/3
+    pure, physical           1 - J(q)      C * J(q)
+    Werner, either           1/2 + p/6     p/3
+
+Each sweep or maximization reads the pair once.  Every slope is >= 0, so the
+timing optima are the maxima of Re b = exp(-H)*cos(w0*tau), whatever the
+resource and convention.  Its derivative is -exp(-H)*h(tau) with
 
     h(tau) = Gamma(tau)*cos(w0*tau) + w0*sin(w0*tau),   Gamma = dH/dtau,
 
@@ -33,7 +41,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .metrics import average_fts_analytic
+from .metrics import average_fts_affine
 from .noisekernel import NoiseParams, decay_rate, receiver_factor
 from .protocol import ResourceSpec
 
@@ -70,10 +78,10 @@ class TimingSolution:
 
 def objective_fn(problem: TimingProblem) -> Objective:
     """Closed-form average fidelity in the problem's convention as a function of tau."""
+    f0, slope = average_fts_affine(problem.resource, problem.convention)
 
     def fn(tau: float) -> float:
-        b = receiver_factor(problem.bob_noise, tau)
-        return float(average_fts_analytic(problem.resource, b, problem.convention))
+        return float(f0 + slope * receiver_factor(problem.bob_noise, tau).real)
 
     return fn
 
@@ -85,20 +93,19 @@ def grid_points(window: Tuple[float, float]) -> int:
     return max(int(math.ceil(min((hi - lo) / _MAX_GRID_STEP, 2.0**53))) + 1, 3)
 
 
-def _curve(problem: TimingProblem, n_points: int) -> Tuple[np.ndarray, List[complex], np.ndarray]:
-    """Uniform tau grid over the window, the receiver factor b and the average fidelity at each point."""
+def _curve(problem: TimingProblem, n_points: int) -> Tuple[np.ndarray, List[float]]:
+    """Uniform tau grid over the window and Re b at each point."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
     taus = np.linspace(problem.window[0], problem.window[1], n_points)
-    bs = [receiver_factor(problem.bob_noise, t) for t in taus]
-    values = np.array([float(average_fts_analytic(problem.resource, b, problem.convention)) for b in bs])
-    return taus, bs, values
+    return taus, [receiver_factor(problem.bob_noise, t).real for t in taus]
 
 
 def sweep(problem: TimingProblem, n_points: int) -> np.ndarray:
     """Uniform tau grid of (tau, average fidelity) over the problem window."""
-    taus, _, values = _curve(problem, n_points)
-    return np.column_stack([taus, values])
+    f0, slope = average_fts_affine(problem.resource, problem.convention)
+    taus, re_b = _curve(problem, n_points)
+    return np.column_stack([taus, [f0 + slope * r for r in re_b]])
 
 
 def _rate_sign_change(bob: NoiseParams, lo: float, hi: float, tol: float) -> Optional[float]:
@@ -137,9 +144,9 @@ def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolu
     """
     if tol_tau <= 0.0:
         raise ValueError("tol_tau must be > 0")
-    fn = objective_fn(problem)
-    taus, bs, values = _curve(problem, grid_points(problem.window))
-    re_b = [b.real for b in bs]
+    f0, slope = average_fts_affine(problem.resource, problem.convention)
+    taus, re_b = _curve(problem, grid_points(problem.window))
+    values = [f0 + slope * r for r in re_b]
 
     local_maxima: list[Tuple[float, float]] = []
     for i in range(1, len(taus) - 1):
@@ -147,7 +154,8 @@ def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolu
         if re_b[i - 1] < re_b[i] >= re_b[i + 1]:
             tau = _rate_sign_change(problem.bob_noise, taus[i - 1], taus[i + 1], tol_tau)
             if tau is not None:
-                local_maxima.append((float(tau), fn(tau)))
+                f = f0 + slope * receiver_factor(problem.bob_noise, tau).real
+                local_maxima.append((float(tau), float(f)))
     candidates = local_maxima + [(float(taus[0]), float(values[0])), (float(taus[-1]), float(values[-1]))]
 
     best_f = max(f for _, f in candidates)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -124,6 +125,21 @@ def test_parse_config_accepts_only_finite_numbers(doc):
         return
     assert all(math.isfinite(x) for x in _numbers(cfg.canonical))
     assert cfg.tau is None or math.isfinite(cfg.tau)
+
+
+def test_canonical_follows_the_fields():
+    # a config built directly, or copied with a changed field, embeds and hashes what it holds
+    cfg = parse_config(dict(TABLE1_CONFIG))
+    direct = experiments.ExperimentConfig(
+        cfg.resource, cfg.alice_noise, cfg.bob_noise, cfg.tau, cfg.window, cfg.input_state,
+        cfg.strategy, cfg.convention, cfg.seed, cfg.n_points)
+    assert direct.canonical == cfg.canonical
+    assert direct.canonical["bob_noise"]["lambda_c"] == 0.01
+    moved = dataclasses.replace(cfg, tau=7.0)
+    assert moved.canonical == parse_config({**TABLE1_CONFIG, "tau": 7.0}).canonical
+    report = run_report(moved)
+    assert report["config"]["tau"] == report["tau"] == 7.0
+    assert experiments.to_json(report) == experiments.to_json(run_report(parse_config({**TABLE1_CONFIG, "tau": 7.0})))
 
 
 def test_parse_config_average_input():

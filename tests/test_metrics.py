@@ -2,24 +2,21 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import random_bloch, random_density, random_pure_pair, random_unitary, random_werner
+from conftest import random_density, random_pure_pair, random_unitary, random_werner
 
 from dfsteleport import metrics
 from dfsteleport.experiments import _average_blocks, parse_config, run_report
 from dfsteleport.metrics import (
-    _average_fts_pure_physical,
+    average_fts_affine,
     average_fts_analytic,
     average_fts_numeric,
-    average_fts_pure,
-    average_fts_werner,
     bloch_fidelity_fn,
     chsh,
     concurrence,
-    fidelity_pointwise,
 )
 from dfsteleport.noisekernel import DecoherenceFactors, NoiseParams, factors_at
 from dfsteleport.protocol import PurePair, Werner, resource_state
-from dfsteleport.qlinalg import BlochAngles, DensityOp
+from dfsteleport.qlinalg import DensityOp
 
 TWO_PI = 2.0 * np.pi
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -30,43 +27,7 @@ def factors_with_b(b: complex) -> DecoherenceFactors:
     return DecoherenceFactors(f=1.0, g=1.0, a=1.0, b=b, tau=0.0)
 
 
-def corrected_output_scaled(mu, lam, alpha, beta, b) -> np.ndarray:
-    # corrected retained-branch state in the trace-4p convention
-    return np.array(
-        [
-            [2.0 * lam**2 * abs(alpha) ** 2, 2.0 * mu * lam * alpha * np.conj(beta) * np.conj(b)],
-            [2.0 * mu * lam * np.conj(alpha) * beta * b, 2.0 * mu**2 * abs(beta) ** 2],
-        ],
-        dtype=complex,
-    )
-
-
 # ---------------------------------------------------------- pointwise fidelity
-
-
-def test_fidelity_pointwise_perfect_output():
-    ang = BlochAngles(theta=0.9, phi=1.7)
-    assert fidelity_pointwise(ang, ang.ket().projector()) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_fidelity_pointwise_maximally_mixed():
-    ang = BlochAngles(theta=2.0, phi=0.3)
-    assert fidelity_pointwise(ang, DensityOp(np.eye(2) / 2.0)) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_fidelity_pointwise_matches_trig_formula():
-    # matrix contraction vs 2 lam^2 c^4 + 2 mu^2 s^4 + 2 s^2 c^2 (mu lam b + cc)
-    rng = np.random.default_rng(50)
-    mu, lam = 0.6, 0.8
-    b = 0.97
-    for _ in range(100):
-        ang = random_bloch(rng)
-        mat = corrected_output_scaled(mu, lam, ang.alpha, ang.beta, b)
-        got = fidelity_pointwise(ang, DensityOp(mat, normalized=False))
-        c2 = np.cos(ang.theta / 2.0) ** 2
-        s2 = np.sin(ang.theta / 2.0) ** 2
-        want = 2 * lam**2 * c2**2 + 2 * mu**2 * s2**2 + 2 * s2 * c2 * (2 * mu * lam * b)
-        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_paper_scaled_pointwise_can_exceed_one():
@@ -93,31 +54,59 @@ def test_pointwise_fidelity_ignores_the_sender_factors():
 # ------------------------------------------------------------------- averages
 
 
+AFFINE_RESOURCES = [
+    *(PurePair.from_concurrence(c) for c in (0.0, 0.05, 0.8, 1.0)),
+    PurePair(0.6, 0.8),
+    *(Werner(p) for p in (0.0, 0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("convention", ["paper", "physical"])
+@pytest.mark.parametrize("resource", AFFINE_RESOURCES, ids=repr)
+def test_affine_coefficients_match_bloch_quadrature(resource, convention):
+    # the 2-D quadrature of the pointwise value reads f0 + slope * Re b, whatever Im b is
+    f0, slope = average_fts_affine(resource, convention)
+    for b in (0.9 + 0.3j, 0.9 - 0.4j, PHYSICAL_B, -0.2 - 0.7j):
+        fn = bloch_fidelity_fn(resource, factors_with_b(b), convention)
+        assert average_fts_numeric(fn, "quadrature").value == pytest.approx(f0 + slope * b.real, abs=1e-12)
+        assert average_fts_analytic(resource, b, convention) == f0 + slope * b.real
+
+
+def test_affine_slope_is_never_negative():
+    # the optimizer's premise: the fidelity's maxima in tau are those of Re b
+    grid = np.linspace(0.0, 1.0, 101)
+    pairs = [PurePair.from_concurrence(c) for c in grid]
+    resources = pairs + [PurePair(p.lam, p.mu) for p in pairs] + [Werner(p) for p in grid]
+    for resource in resources:
+        for convention in ("paper", "physical"):
+            assert average_fts_affine(resource, convention)[1] >= 0.0
+
+
 def test_average_fts_pure_maximal_noiseless():
-    assert average_fts_pure(SQRT_HALF, SQRT_HALF, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert average_fts_analytic(PurePair(SQRT_HALF, SQRT_HALF), 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_average_fts_pure_free_evolution_cosine():
     for tau in np.linspace(0.0, 4.0 * np.pi, 17):
         b = np.exp(-1j * tau)
         want = 2.0 / 3.0 + np.cos(tau) / 3.0
-        assert average_fts_pure(SQRT_HALF, SQRT_HALF, b) == pytest.approx(want, abs=1e-14)
+        assert average_fts_analytic(PurePair(SQRT_HALF, SQRT_HALF), b) == pytest.approx(want, abs=1e-14)
 
 
 def test_average_fts_pure_published_table_value():
     b = factors_at(NOISELESS, NoiseParams(0.1, 0.01), TWO_PI).b
     pair = PurePair.from_concurrence(0.8)
-    got = average_fts_pure(pair.mu, pair.lam, b)
+    got = average_fts_analytic(pair, b)
     assert got == pytest.approx(0.9331232790679895, rel=1e-12)
     assert abs(got - 0.93) <= 0.01
 
 
 def test_average_fts_werner_values():
-    assert average_fts_werner(1.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert average_fts_analytic(Werner(1.0), 1.0) == pytest.approx(1.0, abs=1e-14)
     b = factors_at(NOISELESS, NoiseParams(0.1, 0.02), TWO_PI).b
-    f_09 = average_fts_werner(0.9, b)
+    f_09 = average_fts_analytic(Werner(0.9), b)
     assert abs(f_09 - 0.95) <= 0.015
-    f_05 = average_fts_werner(0.5, b)
+    f_05 = average_fts_analytic(Werner(0.5), b)
     assert f_05 == pytest.approx(0.7494785514090125, rel=1e-12)
     assert abs(f_05 - 0.74) <= 0.015
 
@@ -131,14 +120,20 @@ def test_average_fts_werner_concurrence_form():
             b = factors_at(NOISELESS, NoiseParams(0.1, 0.02), tau).b
             env = np.exp(-0.2 * np.log1p((0.02 * tau) ** 2))
             want = (2.0 / 9.0) * (c + 0.5) * np.cos(tau) * env + (c + 5.0) / 9.0
-            assert average_fts_werner(w.p, b) == pytest.approx(want, rel=1e-12)
+            assert average_fts_analytic(w, b) == pytest.approx(want, rel=1e-12)
 
 
 def test_average_fts_input_domain_checks():
-    with pytest.raises(ValueError):
-        average_fts_pure(0.9, 0.9, 1.0)
-    with pytest.raises(ValueError):
-        average_fts_werner(1.4, 1.0)
+    # the resource checks its own domain (test_pure_pair_validation, test_werner_validation);
+    # the averages check the convention, whatever its case
+    for resource in (PurePair(0.6, 0.8), Werner(0.7)):
+        for convention in ("Physical", "PAPER", "unit-trace"):
+            with pytest.raises(ValueError, match="convention"):
+                average_fts_affine(resource, convention)
+            with pytest.raises(ValueError, match="convention"):
+                average_fts_analytic(resource, 0.5, convention)
+    with pytest.raises(TypeError):
+        average_fts_affine((0.6, 0.8))
 
 
 def test_physical_average_coincides_with_paper_for_werner_and_balanced_pairs():
@@ -181,11 +176,11 @@ def test_physical_average_matches_one_dimensional_integral(c):
 def test_physical_average_limits_and_symmetry():
     for b in (1.0, PHYSICAL_B, -0.4j):
         assert average_fts_analytic(PurePair.from_concurrence(0.0), b, "physical") == 0.5
-        assert _average_fts_pure_physical(1.0, 0.0, b) == 0.5
+        assert average_fts_analytic(PurePair(1.0, 0.0), b, "physical") == 0.5
         for c in (0.1, 0.5, 0.8, 0.99, 1.0):
             pair = PurePair.from_concurrence(c)
-            assert _average_fts_pure_physical(pair.mu, pair.lam, b) == pytest.approx(
-                _average_fts_pure_physical(pair.lam, pair.mu, b), abs=1e-15)
+            assert average_fts_analytic(pair, b, "physical") == pytest.approx(
+                average_fts_analytic(PurePair(pair.lam, pair.mu), b, "physical"), abs=1e-15)
 
 
 def test_physical_average_series_and_direct_form_meet():
@@ -196,7 +191,7 @@ def test_physical_average_series_and_direct_form_meet():
         q = abs(lam**2 - mu**2)
         direct = (q - (1.0 - q * q) * np.arctanh(q)) / (2.0 * q**3)
         series = sum(q ** (2 * k - 2) / (4 * k * k - 1) for k in range(1, 30))
-        got = _average_fts_pure_physical(mu, lam, PHYSICAL_B)
+        got = average_fts_analytic(PurePair(mu, lam), PHYSICAL_B, "physical")
         for j in (direct, series):
             assert got == pytest.approx(1.0 - (1.0 - 2.0 * mu * lam * PHYSICAL_B.real) * j, abs=1e-14)
 
@@ -224,7 +219,7 @@ def test_numeric_average_matches_pure_closed_form():
         )
         fn = bloch_fidelity_fn(pair, fac, "paper")
         quad = average_fts_numeric(fn, "quadrature")
-        want = average_fts_pure(pair.mu, pair.lam, fac.b)
+        want = average_fts_analytic(pair, fac.b)
         assert quad.value == pytest.approx(want, abs=1e-8)
 
 
@@ -239,7 +234,7 @@ def test_numeric_average_matches_werner_closed_form():
         )
         fn = bloch_fidelity_fn(w, fac, "paper")
         quad = average_fts_numeric(fn, "quadrature")
-        want = average_fts_werner(w.p, fac.b)
+        want = average_fts_analytic(w, fac.b)
         assert quad.value == pytest.approx(want, abs=1e-8)
 
 
@@ -248,7 +243,7 @@ def test_montecarlo_within_three_stderr():
     pair = PurePair.from_concurrence(0.7)
     fn = bloch_fidelity_fn(pair, fac, "paper")
     mc = average_fts_numeric(fn, "montecarlo", samples=100_000, seed=7)
-    want = average_fts_pure(pair.mu, pair.lam, fac.b)
+    want = average_fts_analytic(pair, fac.b)
     assert abs(mc.value - want) <= 3.0 * mc.stderr
     assert not mc.widened
 
@@ -262,8 +257,6 @@ def test_montecarlo_small_sample_widening():
 
 def test_numeric_average_rejects_bad_arguments():
     one = lambda theta, phi: np.ones_like(theta)
-    with pytest.raises(ValueError):
-        average_fts_numeric(one, "quadrature", theta_nodes=16)
     with pytest.raises(ValueError):
         average_fts_numeric(one, "simpson")
     with pytest.raises(ValueError):

@@ -20,7 +20,6 @@ from dfsteleport.noisekernel import (
     factors_at,
     phase_integral,
     receiver_factor,
-    spectral_density,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -66,12 +65,6 @@ def test_factors_validation():
         DecoherenceFactors(f=1.5, g=1.0, a=1.0, b=1.0, tau=1.0)
     with pytest.raises(ValueError):
         DecoherenceFactors(f=1.0, g=1.0, a=1.0, b=1.0, tau=-1.0)
-
-
-def test_spectral_density_ohmic_shape():
-    p = NoiseParams(gamma=0.3, lambda_c=0.5)
-    w = np.array([0.0, 0.5, 2.0])
-    assert np.allclose(spectral_density(p, w), 0.3 * w * np.exp(-w / 0.5))
 
 
 # ------------------------------------------------------------------ decay rate

@@ -245,6 +245,30 @@ def test_maximize_bisects_each_bracket_off_the_grid(monkeypatch):
     assert len(evaluated) == grid_points(problem.window) + 1
 
 
+@pytest.mark.parametrize("resource", [PurePair(0.6, 0.8), Werner(0.7)], ids=repr)
+@pytest.mark.parametrize("convention", ["paper", "physical"])
+def test_one_coefficient_read_per_problem(monkeypatch, resource, convention):
+    # the affine pair is read once per sweep or maximization, not once per tau point,
+    # and the curve is the closed-form average at each point bit for bit
+    reads = []
+    real = optimizer.average_fts_affine
+
+    def counted(*args):
+        reads.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimizer, "average_fts_affine", counted)
+    problem = TimingProblem(resource, NoiseParams(0.1, 0.05), (np.pi, 3.0 * np.pi), convention)
+    sol = maximize_timing(problem)
+    assert reads == [(resource, convention)]
+    reads.clear()
+    curve = sweep(problem, 301)
+    assert reads == [(resource, convention)]
+    want = [average_fts_analytic(resource, receiver_factor(problem.bob_noise, t), convention) for t in curve[:, 0]]
+    assert curve[:, 1].tolist() == want
+    assert np.array_equal(sol.grid, sweep(problem, grid_points(problem.window)))
+
+
 def test_maximize_slope_zero_resource_keeps_the_window_start():
     # concurrence 0: the fidelity is 2/3 everywhere, and Re b has one interior maximum
     problem = pure_problem(0.0, 0.1, 0.01, (np.pi, 4.0 * np.pi))
