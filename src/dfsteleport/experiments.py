@@ -512,13 +512,12 @@ def figure_curve(which: int, panel: str) -> ResultTable:
         resource = Werner.from_concurrence(FIGURE_CONCURRENCE)
     problem = TimingProblem(resource=resource, bob_noise=bob, window=(0.0, FIGURE_TAU_MAX))
     curve = sweep(problem, FIGURE_POINTS)
-    rows = [[float(t), float(f)] for t, f in curve]
     meta = _table_metadata(f"figure{which}{panel}", bob, FIGURE_TAU_MAX, {
         "resource": "pure" if which == 2 else "werner",
         "concurrence": _fmt(FIGURE_CONCURRENCE),
         "n_points": str(FIGURE_POINTS),
     })
-    return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=rows, metadata=meta)
+    return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=curve.tolist(), metadata=meta)
 
 
 def _timing_problem(config: ExperimentConfig, window: Tuple[float, float],
@@ -549,8 +548,7 @@ def sweep_table(config: ExperimentConfig) -> ResultTable:
         "config_sha256": config_hash(config.canonical),
         "convention": config.convention,
     }
-    rows = [[float(t), float(f)] for t, f in curve]
-    return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=rows, metadata=meta)
+    return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=curve.tolist(), metadata=meta)
 
 
 def optimize_report(config: ExperimentConfig, tol_tau: float = 1e-6) -> dict:
@@ -571,7 +569,7 @@ def optimize_report(config: ExperimentConfig, tol_tau: float = 1e-6) -> dict:
         "tau_star": solution.tau_star,
         "f_star": solution.f_star,
         "local_maxima": [[t, f] for t, f in solution.local_maxima],
-        "grid": [[float(t), float(f)] for t, f in solution.grid],
+        "grid": solution.grid.tolist(),
     }
 
 

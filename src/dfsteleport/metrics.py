@@ -11,19 +11,30 @@ branch fidelity is affine in Re b, F = f0 + slope * Re b, and
     Werner, either           1/2 + p/6     p/3
 
 with C = 2 mu lam the pure pair's concurrence and q = |lam^2 - mu^2|.  Every
-slope is >= 0, the premise of ``optimizer``.  The quadrature and Monte-Carlo
-averagers here exist to cross-check these closed forms.
+slope is >= 0, the premise of ``optimizer``.
+
+The retained branch's pointwise value depends only on u = cos^2(theta/2),
+which is uniform over the sphere, never on phi.  With v = 1 - u, the paper-
+convention value and the branch trace are
+
+    resource   paper value                              trace
+    pure       2 lam^2 u^2 + 2 mu^2 v^2 + 2C u v Re b   2 mu^2 v + 2 lam^2 u
+    Werner     1/2 + p (2u - 1)^2 / 2 + 2p u v Re b     1
+
+and the physical value is their ratio.  Averaged over u in [0, 1] they give
+the table above.  A run takes its quadrature and Monte-Carlo cross-checks from
+this polar form (``_polar_fidelity_and_trace``) on the 64 Gauss-Legendre theta
+nodes and on the seeded cos(theta) draws, each evaluated once for both
+conventions, so for a Werner resource both conventions report the same
+numeric averages by construction.  The (theta, phi) functions built from the branch
+elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
+``average_fts_numeric``) are kept as its oracles; no command calls them.
 
 For a non-maximal pure resource the trace-4p bookkeeping makes the pointwise
 value exceed one near the poles; the physical (unit-trace, retention-
 conditioned) convention stays within [0, 1] and is exposed alongside.  It
-coincides with the paper's for Werner and balanced pure resources.  A run
-evaluates the pointwise value once on the 64x64 quadrature grid and once on
-the Monte-Carlo sample set, and reads both conventions from each evaluation,
-so for a Werner resource the two numeric averages are the same numbers by
-construction.  For a pure resource, u = cos^2(theta/2) is uniform over the
-sphere and the physical pointwise value
-1 - u(1-u)(1 - C Re b) / (mu^2 + (lam^2 - mu^2) u) does not depend on phi,
+coincides with the paper's for Werner and balanced pure resources.  For a pure
+resource the ratio is 1 - u(1-u)(1 - C Re b) / (mu^2 + (lam^2 - mu^2) u),
 which integrates to the physical row above with
 
     J(q) = [q - (1 - q^2) artanh(q)] / (2 q^3) = sum_k>=1 q^(2k-2) / (4k^2 - 1)
@@ -59,6 +70,7 @@ PointwiseFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _MIN_MC_SAMPLES = 1000
 _NODES = 64  # Gauss-Legendre nodes in theta and trapezoid nodes in phi
+_MC_SAMPLES = 100_000  # Monte-Carlo draws of a run and the averagers' default
 
 
 @dataclass(frozen=True)
@@ -154,38 +166,54 @@ def bloch_fidelity_fn(
     return fn
 
 
-def _bloch_points(method: str, samples: int = 100_000, seed: int | np.random.Generator = 0):
+def _quadrature_theta():
+    """``(theta, reduce)``: the Gauss-Legendre theta nodes and the map from
+    phi-averaged values on them to their ``NumericAverage``."""
+    x, w = _gauss_legendre(_NODES)
+    theta = 0.5 * np.pi * (x + 1.0)
+    wtheta = 0.5 * np.pi * w * np.sin(theta)
+
+    def reduce(vals) -> NumericAverage:
+        return NumericAverage(value=float(np.dot(wtheta, vals) / 2.0), stderr=None)
+
+    return theta, reduce
+
+
+def _montecarlo_cos_theta(samples: int, seed: int | np.random.Generator):
+    """``(rng, cos_theta, reduce)``: the seeded cos(theta) draws, the generator
+    left after them, and the map from values at the draws to their ``NumericAverage``."""
+    if samples < 2:
+        raise ValueError("montecarlo needs at least 2 samples")
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    cos_theta = rng.uniform(-1.0, 1.0, samples)
+
+    def reduce(vals) -> NumericAverage:
+        value = float(np.mean(vals))
+        stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
+        widened = samples < _MIN_MC_SAMPLES
+        if widened:
+            stderr *= 2.0
+        return NumericAverage(value=value, stderr=stderr, widened=widened)
+
+    return rng, cos_theta, reduce
+
+
+def _bloch_points(method: str, samples: int = _MC_SAMPLES, seed: int | np.random.Generator = 0):
     """``(theta, phi, reduce)``: the method's points on the sphere and the map
     from the values there to their ``NumericAverage``."""
     if method == "quadrature":
-        x, w = _gauss_legendre(_NODES)
-        theta = 0.5 * np.pi * (x + 1.0)
-        wtheta = 0.5 * np.pi * w * np.sin(theta)
+        theta, reduce_theta = _quadrature_theta()
         phi = 2.0 * np.pi * np.arange(_NODES) / _NODES
         grid_t, grid_p = np.meshgrid(theta, phi, indexing="ij")
 
         def reduce(vals) -> NumericAverage:
-            value = float(np.dot(wtheta, vals.reshape(_NODES, _NODES).mean(axis=1)) / 2.0)
-            return NumericAverage(value=value, stderr=None)
+            return reduce_theta(vals.reshape(_NODES, _NODES).mean(axis=1))
 
         return grid_t.ravel(), grid_p.ravel(), reduce
     if method == "montecarlo":
-        if samples < 2:
-            raise ValueError("montecarlo needs at least 2 samples")
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        cos_theta = rng.uniform(-1.0, 1.0, samples)
-        theta = np.arccos(cos_theta)
-        phi = rng.uniform(0.0, 2.0 * np.pi, samples)
-
-        def reduce(vals) -> NumericAverage:
-            value = float(np.mean(vals))
-            stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
-            widened = samples < _MIN_MC_SAMPLES
-            if widened:
-                stderr *= 2.0
-            return NumericAverage(value=value, stderr=stderr, widened=widened)
-
-        return theta, phi, reduce
+        # cos(theta) is drawn before phi, so the polar averages of a run see the same points
+        rng, cos_theta, reduce = _montecarlo_cos_theta(samples, seed)
+        return np.arccos(cos_theta), rng.uniform(0.0, 2.0 * np.pi, samples), reduce
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -193,7 +221,7 @@ def average_fts_numeric(
     pointwise: PointwiseFn,
     method: str = "quadrature",
     *,
-    samples: int = 100_000,
+    samples: int = _MC_SAMPLES,
     seed: int | np.random.Generator = 0,
 ) -> NumericAverage:
     """Bloch-sphere average (1/4pi) int f sin(theta) dtheta dphi.
@@ -207,19 +235,38 @@ def average_fts_numeric(
     return reduce(pointwise(theta, phi))
 
 
+def _polar_fidelity_and_trace(resource: ResourceSpec, b: complex, u):
+    """``_fidelity_and_trace`` as real functions of u = cos^2(theta/2) alone
+    (table in the module docstring)."""
+    v = 1.0 - u
+    re_b = complex(b).real
+    if isinstance(resource, PurePair):
+        mu2, lam2 = resource.mu**2, resource.lam**2
+        c = resource.concurrence
+        return 2.0 * (lam2 * u * u + mu2 * v * v + c * u * v * re_b), 2.0 * (mu2 * v + lam2 * u)
+    if isinstance(resource, Werner):
+        p = resource.p
+        return 0.5 + 0.5 * p * (2.0 * u - 1.0) ** 2 + 2.0 * p * re_b * u * v, np.ones_like(u)
+    raise TypeError(f"unknown resource spec {resource!r}")
+
+
 def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
                       seed: int) -> Dict[str, Tuple[NumericAverage, NumericAverage]]:
     """``{convention: (quadrature, montecarlo)}`` at the default node and sample counts.
 
-    Each point set is evaluated once and serves both conventions, so every
-    average equals ``average_fts_numeric(bloch_fidelity_fn(resource, factors,
-    convention), method, seed=seed)`` bit for bit.  Werner branch states have
-    unit trace, so their physical averages are the paper ones.
+    The retained value does not depend on phi, so each point set is its polar
+    part: the theta nodes (the phi trapezoid of a phi-independent value is
+    exact) and the seeded cos(theta) draws, each evaluated once for both
+    conventions.  Every average agrees with ``average_fts_numeric(
+    bloch_fidelity_fn(resource, factors, convention), method, seed=seed)`` to
+    rounding.  Werner branch states have unit trace, so their physical averages
+    are the paper ones.
     """
+    theta, quadrature = _quadrature_theta()
+    _, cos_theta, montecarlo = _montecarlo_cos_theta(_MC_SAMPLES, seed)
     paper, physical = [], []
-    for method in ("quadrature", "montecarlo"):
-        theta, phi, reduce = _bloch_points(method, seed=seed)
-        val, trace = _fidelity_and_trace(resource, factors.b, theta, phi)
+    for cos_t, reduce in ((np.cos(theta), quadrature), (cos_theta, montecarlo)):
+        val, trace = _polar_fidelity_and_trace(resource, factors.b, 0.5 * (1.0 + cos_t))
         paper.append(reduce(val))
         physical.append(reduce(_normalized(val, trace)) if isinstance(resource, PurePair) else paper[-1])
     return {"paper": tuple(paper), "physical": tuple(physical)}

@@ -291,6 +291,40 @@ def test_fidelity_report_conventions():
     assert werner["quadrature"] == pytest.approx(werner["analytic"], abs=1e-8)
 
 
+@pytest.mark.parametrize("resource", [
+    PurePair.from_concurrence(0.0),
+    PurePair.from_concurrence(0.05),
+    PurePair.from_concurrence(0.8),
+    PurePair.from_concurrence(1.0),
+    PurePair(mu=0.6, lam=0.8),
+    PurePair(mu=0.8, lam=0.6),
+    Werner(0.0),
+    Werner(0.5),
+    Werner(1.0),
+], ids=repr)
+@pytest.mark.parametrize("b", [0.0, 0.93 + 0.2j, -0.4 + 0.7j])
+def test_polar_form_equals_the_branch_element_form(resource, b):
+    # value and trace depend on theta alone: several phi at each theta, poles
+    # included.  The branch-element form's |beta|^2 = |sin(theta/2) e^(i phi)|^2
+    # is a few ulp off 1 - cos^2(theta/2), and the pure value carries it
+    # squared at up to 2 mu^2: 2.7e-15 at most over 200k random points.
+    rng = np.random.default_rng(23)
+    theta = np.repeat(np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 40)]), 5)
+    phi = rng.uniform(0.0, TWO_PI, theta.size)
+    val, trace = metrics._fidelity_and_trace(resource, b, theta, phi)
+    polar_val, polar_trace = metrics._polar_fidelity_and_trace(resource, b, np.cos(theta / 2.0) ** 2)
+    np.testing.assert_allclose(polar_val, val, rtol=0.0, atol=4e-15)
+    np.testing.assert_allclose(polar_trace, trace, rtol=0.0, atol=4e-15)
+
+
+def test_separable_werner_run_averages_are_one_half():
+    # p = 0 leaves a constant 1/2 on the sphere: every average is 1/2 and no spread
+    for block in _run_report({"kind": "werner", "p": 0.0})["average_fts"].values():
+        for key in ("analytic", "quadrature", "montecarlo"):
+            assert block[key] == pytest.approx(0.5, rel=0.0, abs=1e-15)
+        assert 0.0 <= block["montecarlo_stderr"] <= 1e-18
+
+
 @pytest.mark.parametrize("resource,b", [
     (PurePair.from_concurrence(1.0), 0.93 + 0.2j),
     (PurePair(mu=0.6, lam=0.8), 0.93 + 0.2j),
@@ -298,8 +332,9 @@ def test_fidelity_report_conventions():
     (PurePair(mu=0.8, lam=0.6), 0.0),
     (Werner(0.4), 0.0),
 ])
-def test_average_blocks_equal_the_public_averager_bit_for_bit(resource, b):
-    # one evaluation per point set serves both conventions with the same numbers
+def test_average_blocks_match_the_public_averager(resource, b):
+    # the polar form on the theta nodes and cos(theta) draws matches the
+    # (theta, phi) averager on the same seeded points to rounding
     seed = 19
     fac = factors_with_b(b)
     blocks = _average_blocks(resource, fac, seed)
@@ -307,24 +342,25 @@ def test_average_blocks_equal_the_public_averager_bit_for_bit(resource, b):
         fn = bloch_fidelity_fn(resource, fac, convention)
         quad = average_fts_numeric(fn, "quadrature", seed=seed)
         mc = average_fts_numeric(fn, "montecarlo", seed=seed)
-        assert blocks[convention] == {
-            "analytic": float(average_fts_analytic(resource, b, convention)),
-            "quadrature": quad.value,
-            "montecarlo": mc.value,
-            "montecarlo_stderr": mc.stderr,
-        }
+        block = blocks[convention]
+        assert block.keys() == {"analytic", "quadrature", "montecarlo", "montecarlo_stderr"}
+        assert block["analytic"] == float(average_fts_analytic(resource, b, convention))
+        assert block["quadrature"] == pytest.approx(quad.value, rel=0.0, abs=4.5e-16)
+        assert block["montecarlo"] == pytest.approx(mc.value, rel=0.0, abs=4.5e-16)
+        assert block["montecarlo_stderr"] == pytest.approx(mc.stderr, rel=0.0, abs=1e-18)
     if isinstance(resource, Werner):
         assert blocks["physical"] == blocks["paper"]
 
 
 @pytest.mark.parametrize("resource,normalized", [
-    ({"kind": "pure", "mu": 0.6, "lambda": 0.8}, [64 * 64, 100_000]),
+    ({"kind": "pure", "mu": 0.6, "lambda": 0.8}, [64, 100_000]),
     ({"kind": "werner", "p": 0.8}, []),
 ])
 def test_run_report_evaluates_each_point_set_once(monkeypatch, resource, normalized):
-    # the grid and the samples, once each and not once per convention; a
-    # Werner trace is one, so its physical averages reuse the paper ones
-    sizes = {"_fidelity_and_trace": [], "_normalized": []}
+    # the theta nodes and the cos(theta) draws, once each and not once per
+    # convention, and never the (theta, phi) oracle; a Werner trace is one,
+    # so its physical averages reuse the paper ones
+    sizes = {"_polar_fidelity_and_trace": [], "_fidelity_and_trace": [], "_normalized": []}
 
     def counting(name):
         fn = getattr(metrics, name)
@@ -338,7 +374,8 @@ def test_run_report_evaluates_each_point_set_once(monkeypatch, resource, normali
     for name in sizes:
         monkeypatch.setattr(metrics, name, counting(name))
     _run_report(resource)
-    assert sorted(sizes["_fidelity_and_trace"]) == [64 * 64, 100_000]
+    assert sorted(sizes["_polar_fidelity_and_trace"]) == [64, 100_000]
+    assert sizes["_fidelity_and_trace"] == []
     assert sorted(sizes["_normalized"]) == normalized
 
 
