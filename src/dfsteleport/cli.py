@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .experiments import (
@@ -37,9 +36,10 @@ EXIT_CONFIG = 2
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     doc = {}
     if args.config is not None:
-        path = Path(args.config)
+        path = args.config
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
@@ -71,8 +71,11 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
+        # plain open, not pathlib: Python 3.11's pathlib interns every path part,
+        # so a new file name per call grows and resizes the interpreter's intern table
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             raise ConfigError(f"cannot write output {out}: {exc}") from exc
 
