@@ -4,29 +4,25 @@ Simulates the discard-strategy teleportation protocol: the sender's two qubits
 share a common dephasing bath, the receiver's qubit sits in its own local
 bath, and only the Bell outcomes protected by the common bath's
 decoherence-free subspace are kept.  The toolkit reads each outcome's receiver
-state from its closed form (the exact three-qubit evolution serves as its
-brute-force check), evaluates pointwise and Bloch-averaged teleportation
-fidelities, entanglement (concurrence) and CHSH nonlocality of the resource,
-and optimizes the sender's measurement timing against the receiver's noise
-parameters.
+state from its closed form, evaluates pointwise and Bloch-averaged
+teleportation fidelities, and optimizes the sender's measurement timing
+against the receiver's noise parameters.
+
+The package exports the simulator's names only.  The oracles that check it
+are imported from their own modules: the 8x8 brute-force pipeline
+(``channels``; ``protocol.build_joint``, ``resource_state`` and
+``analytic_branch_states``), Wootters concurrence and the CHSH criterion
+(``metrics.concurrence``, ``metrics.chsh``), the numeric Bloch averages
+(``metrics.bloch_fidelity_fn``, ``metrics.average_fts_numeric``) and the
+linear algebra behind them (``qlinalg``).
 """
 
 __version__ = "0.1.0"
 
-from .channels import FactorMatrix, alice_factor_matrix, apply_channel, bob_factor_matrix, joint_evolve
-from .metrics import (
-    NonlocalityReport,
-    average_fts_affine,
-    average_fts_analytic,
-    average_fts_numeric,
-    bloch_fidelity_fn,
-    chsh,
-    concurrence,
-)
+from .metrics import average_fts_affine, average_fts_analytic
 from .noisekernel import (
     DecoherenceFactors,
     NoiseParams,
-    NumericAccuracyError,
     cumulative_decay,
     decay_rate,
     factors_at,
@@ -41,9 +37,6 @@ from .protocol import (
     PurePair,
     Strategy,
     Werner,
-    analytic_branch_states,
-    build_joint,
-    resource_state,
     run_protocol,
     run_with_factors,
 )
@@ -51,26 +44,16 @@ from .qlinalg import (
     BlochAngles,
     ContractViolationError,
     DensityOp,
-    PureKet,
     UnsupportedDimensionError,
-    eig_hermitian,
-    mat_sqrt_psd,
-    tensor,
 )
 
 __all__ = [
     "__version__",
-    "BlochAngles", "ContractViolationError", "DensityOp", "PureKet",
-    "UnsupportedDimensionError", "eig_hermitian", "mat_sqrt_psd", "tensor",
-    "DecoherenceFactors", "NoiseParams", "NumericAccuracyError",
-    "cumulative_decay", "decay_rate", "factors_at", "phase_integral",
-    "receiver_factor",
-    "FactorMatrix", "alice_factor_matrix", "apply_channel",
-    "bob_factor_matrix", "joint_evolve",
+    "BlochAngles", "ContractViolationError", "DensityOp", "UnsupportedDimensionError",
+    "DecoherenceFactors", "NoiseParams", "cumulative_decay", "decay_rate",
+    "factors_at", "phase_integral", "receiver_factor",
     "BellOutcome", "BranchResult", "ProtocolRun", "PurePair", "Strategy",
-    "Werner", "analytic_branch_states", "build_joint", "resource_state",
-    "run_protocol", "run_with_factors",
-    "NonlocalityReport", "average_fts_affine", "average_fts_analytic",
-    "average_fts_numeric", "bloch_fidelity_fn", "chsh", "concurrence",
+    "Werner", "run_protocol", "run_with_factors",
+    "average_fts_affine", "average_fts_analytic",
     "TimingProblem", "TimingSolution", "maximize_timing", "sweep",
 ]

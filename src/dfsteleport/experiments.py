@@ -557,7 +557,7 @@ def optimize_report(config: ExperimentConfig, tol_tau: float = 1e-6) -> dict:
     if window is None:
         # tau = 0 trivially maximizes the envelope; start past it by default
         window = (math.pi, 4.0 * math.pi)
-    problem = _timing_problem(config, window, grid_points(window), "window")
+    problem = _timing_problem(config, window, grid_points(window, config.bob_noise.omega0), "window")
     solution = maximize_timing(problem, tol_tau)
     return {
         "tool": "dfsteleport",

@@ -179,12 +179,12 @@ def _quadrature_theta():
     return theta, reduce
 
 
-def _montecarlo_cos_theta(samples: int, seed: int | np.random.Generator):
+def _montecarlo_cos_theta(samples: int, seed: int):
     """``(rng, cos_theta, reduce)``: the seeded cos(theta) draws, the generator
     left after them, and the map from values at the draws to their ``NumericAverage``."""
     if samples < 2:
         raise ValueError("montecarlo needs at least 2 samples")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     cos_theta = rng.uniform(-1.0, 1.0, samples)
 
     def reduce(vals) -> NumericAverage:
@@ -198,7 +198,7 @@ def _montecarlo_cos_theta(samples: int, seed: int | np.random.Generator):
     return rng, cos_theta, reduce
 
 
-def _bloch_points(method: str, samples: int = _MC_SAMPLES, seed: int | np.random.Generator = 0):
+def _bloch_points(method: str, samples: int = _MC_SAMPLES, seed: int = 0):
     """``(theta, phi, reduce)``: the method's points on the sphere and the map
     from the values there to their ``NumericAverage``."""
     if method == "quadrature":
@@ -222,7 +222,7 @@ def average_fts_numeric(
     method: str = "quadrature",
     *,
     samples: int = _MC_SAMPLES,
-    seed: int | np.random.Generator = 0,
+    seed: int = 0,
 ) -> NumericAverage:
     """Bloch-sphere average (1/4pi) int f sin(theta) dtheta dphi.
 

@@ -24,8 +24,9 @@ even multiples of pi, where the decaying envelope shifts each stationary point
 slightly earlier.  The sign of h never underflows, even where exp(-H) does.
 
 ``maximize_timing`` evaluates b once per point of a dense grid (step at most
-pi/50).  Every grid point whose Re b exceeds its left neighbour and is no
-smaller than its right one brackets [tau_{i-1}, tau_{i+1}]; where h goes from
+pi/50 and at most pi/(50*w0), a hundred points per period of the cosine).
+Every grid point whose Re b exceeds its left neighbour and is no smaller than
+its right one brackets [tau_{i-1}, tau_{i+1}]; where h goes from
 - to + across that bracket, bisection on the sign of h pins the maximum to
 ``tol_tau`` or to the float spacing of tau, whichever is coarser.  The window
 endpoints compete as candidates too.  Ties in fidelity are broken toward
@@ -47,8 +48,6 @@ from .protocol import ResourceSpec
 
 _MAX_GRID_STEP = math.pi / 50.0
 _TIE_TOL = 1e-12
-
-Objective = Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ class TimingSolution:
     grid: np.ndarray  # columns (tau, fidelity)
 
 
-def objective_fn(problem: TimingProblem) -> Objective:
+def objective_fn(problem: TimingProblem) -> Callable[[float], float]:
     """Closed-form average fidelity in the problem's convention as a function of tau."""
     f0, slope = average_fts_affine(problem.resource, problem.convention)
 
@@ -86,11 +85,15 @@ def objective_fn(problem: TimingProblem) -> Objective:
     return fn
 
 
-def grid_points(window: Tuple[float, float]) -> int:
-    """Number of tau points the grid stage of ``maximize_timing`` evaluates over ``window``."""
+def grid_points(window: Tuple[float, float], omega0: float) -> int:
+    """Number of tau points the grid stage of ``maximize_timing`` evaluates over ``window``.
+
+    Re b oscillates in omega0*tau and its envelope does not depend on omega0,
+    so the step is pi/(50*omega0), and never more than pi/50.
+    """
     lo, hi = window
     # clamped so that a window too wide to evaluate still gives a count a caller can reject
-    return max(int(math.ceil(min((hi - lo) / _MAX_GRID_STEP, 2.0**53))) + 1, 3)
+    return max(int(math.ceil(min((hi - lo) * max(omega0, 1.0) / _MAX_GRID_STEP, 2.0**53))) + 1, 3)
 
 
 def _curve(problem: TimingProblem, n_points: int) -> Tuple[np.ndarray, List[float]]:
@@ -145,7 +148,7 @@ def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolu
     if tol_tau <= 0.0:
         raise ValueError("tol_tau must be > 0")
     f0, slope = average_fts_affine(problem.resource, problem.convention)
-    taus, re_b = _curve(problem, grid_points(problem.window))
+    taus, re_b = _curve(problem, grid_points(problem.window, problem.bob_noise.omega0))
     values = [f0 + slope * r for r in re_b]
 
     local_maxima: list[Tuple[float, float]] = []

@@ -30,7 +30,6 @@ Bennett et al. (PRL 70, 1895, 1993) remains available as a baseline through
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -181,9 +180,6 @@ class ProtocolRun:
     strategy: Strategy
     branches: Tuple[BranchResult, BranchResult, BranchResult, BranchResult]
     classical_bits: float
-    alice_noise: Optional[NoiseParams] = None
-    bob_noise: Optional[NoiseParams] = None
-    tau: Optional[float] = None
 
     def branch(self, outcome: BellOutcome) -> BranchResult:
         return self.branches[BELL_ORDER.index(outcome)]
@@ -322,10 +318,12 @@ def run_protocol(
     tau: float,
     strategy: Strategy = Strategy.RETAIN_PSI_ONLY,
 ) -> ProtocolRun:
-    """Teleportation run with factors computed from the two wings' baths."""
-    factors = factors_at(alice_noise, bob_noise, tau)
-    run = run_with_factors(input_state, resource, factors, strategy)
-    return dataclasses.replace(run, alice_noise=alice_noise, bob_noise=bob_noise, tau=tau)
+    """Teleportation run with factors computed from the two wings' baths.
+
+    The run keeps the factors, not the baths; ``factors.tau`` is the
+    measurement instant.
+    """
+    return run_with_factors(input_state, resource, factors_at(alice_noise, bob_noise, tau), strategy)
 
 
 def _branch_elements(resource: ResourceSpec, alpha, beta, coherence):

@@ -3,7 +3,7 @@
 States live in the computational product basis ordered binary-ascending with
 spin-up mapped to bit 0, so for two qubits the rows/columns are
 (up-up, up-down, down-up, down-down).  All structural checks use
-``HERMITICITY_TOL`` (1e-12) and spectral checks use ``SPECTRAL_TOL`` (1e-10);
+``HERMITICITY_TOL`` (1e-12) and the positivity check uses ``PSD_TOL`` (1e-10);
 these are comfortable for double precision at the 8x8 sizes handled here.
 
 Values are validated once, where they enter the package: a ``DensityOp`` or
@@ -24,12 +24,10 @@ import numpy as np
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
-SPECTRAL_TOL = 1e-10
 NORM_TOL = 1e-12
 
 SUPPORTED_DIMS = (2, 4, 8)
 
-ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -92,10 +90,6 @@ class DensityOp:
         return self.mat.shape[0]
 
     @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
-    @property
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
@@ -126,10 +120,10 @@ class PureKet:
     def dim(self) -> int:
         return self.amps.shape[0]
 
-    def projector(self, normalized: bool = True) -> DensityOp:
+    def projector(self) -> DensityOp:
         if self.dim not in SUPPORTED_DIMS:
             raise UnsupportedDimensionError(f"projector dimension {self.dim} not in {SUPPORTED_DIMS}")
-        return _unchecked(np.outer(self.amps, self.amps.conj()), normalized)
+        return _unchecked(np.outer(self.amps, self.amps.conj()))
 
 
 @dataclass(frozen=True)

@@ -232,7 +232,7 @@ def test_maximize_flat_fidelity_reports_the_maxima_of_re_b(monkeypatch):
     assert len(sol.local_maxima) == 2
     assert not set(t for t, _ in sol.local_maxima) & set(sol.grid[:, 0])
     # one receiver factor per grid point, and one per reported maximum
-    assert len(evaluated) == grid_points(problem.window) + len(sol.local_maxima)
+    assert len(evaluated) == grid_points(problem.window, problem.bob_noise.omega0) + len(sol.local_maxima)
 
 
 def test_maximize_bisects_each_bracket_off_the_grid(monkeypatch):
@@ -242,7 +242,7 @@ def test_maximize_bisects_each_bracket_off_the_grid(monkeypatch):
     assert len(sol.local_maxima) == 1
     assert sol.tau_star == sol.local_maxima[0][0]
     assert sol.tau_star not in set(sol.grid[:, 0])
-    assert len(evaluated) == grid_points(problem.window) + 1
+    assert len(evaluated) == grid_points(problem.window, problem.bob_noise.omega0) + 1
 
 
 @pytest.mark.parametrize("resource", [PurePair(0.6, 0.8), Werner(0.7)], ids=repr)
@@ -266,7 +266,7 @@ def test_one_coefficient_read_per_problem(monkeypatch, resource, convention):
     assert reads == [(resource, convention)]
     want = [average_fts_analytic(resource, receiver_factor(problem.bob_noise, t), convention) for t in curve[:, 0]]
     assert curve[:, 1].tolist() == want
-    assert np.array_equal(sol.grid, sweep(problem, grid_points(problem.window)))
+    assert np.array_equal(sol.grid, sweep(problem, grid_points(problem.window, problem.bob_noise.omega0)))
 
 
 def test_maximize_slope_zero_resource_keeps_the_window_start():
@@ -287,6 +287,28 @@ def test_maximize_ends_at_any_tol_tau(monkeypatch):
     tau = sol.tau_star
     assert rate_h(problem.bob_noise, tau) == pytest.approx(0.0, abs=1e-14)
     assert len(rates) <= 64
+
+
+@pytest.mark.parametrize("omega0", [49.5, 75.25])
+def test_maximize_grid_follows_the_receiver_frequency(omega0):
+    # Re b oscillates in omega0*tau: a pi/50 grid in tau alone misses most of
+    # its maxima here, and at omega0 = 75.25 reports the window start
+    gamma, lam, lo, hi = 0.1, 0.05, np.pi, 4.0 * np.pi
+    problem = TimingProblem(PurePair.from_concurrence(0.8), NoiseParams(gamma, lam, omega0=omega0), (lo, hi))
+    sol = maximize_timing(problem)
+    tau = np.linspace(lo, hi, 200_001)
+    dense_step = tau[1] - tau[0]
+    fidelity = 2.0 / 3.0 + 0.8 / 3.0 * np.exp(-2.0 * gamma * np.log1p((lam * tau) ** 2)) * np.cos(omega0 * tau)
+    h = 4.0 * gamma * lam**2 * tau / (1.0 + (lam * tau) ** 2) * np.cos(omega0 * tau) + omega0 * np.sin(omega0 * tau)
+    rises = tau[1:][(h[:-1] < 0.0) & (h[1:] >= 0.0)]
+    # a maximum within one grid step of a window end has no grid bracket; that end is a candidate
+    grid_step = (hi - lo) / (grid_points(problem.window, omega0) - 1)
+    interior = rises[(rises > lo + grid_step) & (rises < hi - grid_step)]
+    found = np.array([t for t, _ in sol.local_maxima])
+    assert len(found) == len(interior) > 70
+    assert np.max(np.abs(found - interior)) <= 2.0 * dense_step
+    assert sol.f_star >= fidelity.max()
+    assert abs(sol.tau_star - tau[np.argmax(fidelity)]) <= 2.0 * dense_step
 
 
 @pytest.mark.parametrize("bob", [NoiseParams(50.0, 50.0), NoiseParams(50.5, 10.0)])

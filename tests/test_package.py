@@ -30,3 +30,16 @@ def test_cli_import_loads_no_scipy():
 def test_import_loads_no_numpy_polynomial():
     # the Gauss-Legendre rules of the quadrature oracles are built on first use
     assert modules_loaded_by_cli_import("numpy.polynomial") == "[]"
+
+
+def test_cli_import_loads_no_brute_force_channels():
+    # the 8x8 factor matrices serve the brute-force oracle only, not the simulator
+    assert modules_loaded_by_cli_import("dfsteleport.channels") == "[]"
+
+
+def test_simulator_names_resolve_at_top_level():
+    # the names README's library example and the benchmark's library jobs import from the package
+    names = ("BlochAngles", "NoiseParams", "PurePair", "Werner", "Strategy", "BellOutcome",
+             "run_protocol", "maximize_timing", "TimingProblem")
+    # test_every_exported_name_resolves checks that each name in __all__ resolves
+    assert sorted(set(names) - set(dfsteleport.__all__)) == []

@@ -4,12 +4,13 @@
 
 For each tree, every command runs in its own subprocess with
 PYTHONPATH=<tree>/src: tables 1-3, the eight figure panels, and ``sweep``,
-``optimize`` and ``run`` over a fixed list of 20 configs (pure and Werner
-resources, receivers at T = 0 and T = 1, both conventions, a run with an input
-and with ``"average"``).  Prints one line per artifact: ``identical``, or the
-largest absolute difference of each numeric JSON field or CSV column that
-moved (list indices folded into ``[]``).  Exits 1 if any artifact differs in
-anything but its numbers (text, keys, lengths, exit code, stderr), else 0.
+``optimize`` and ``run`` over a fixed list of 30 configs (pure and Werner
+resources, receivers at T = 0, at T = 1 and at omega0 = 75.25, both
+conventions, a run with an input and with ``"average"``).  Prints one line
+per artifact: ``identical``, or the largest absolute difference of each
+numeric JSON field or CSV column that moved (list indices folded into
+``[]``).  Exits 1 if any artifact differs in anything but its numbers (text,
+keys, lengths, exit code, stderr), else 0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ RESOURCES = [
 RECEIVERS = [
     ("T0", {"gamma": 0.1, "lambda_c": 0.01, "temperature": 0.0}),
     ("T1", {"gamma": 0.1, "lambda_c": 0.05, "temperature": 1.0}),
+    ("w75", {"gamma": 0.1, "lambda_c": 0.05, "temperature": 0.0, "omega0": 75.25}),
 ]
 # the run report holds both conventions, so each convention goes with one input kind
 CONVENTIONS = [("paper", {"theta": 1.0, "phi": 0.2}), ("physical", "average")]
