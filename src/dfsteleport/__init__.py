@@ -15,10 +15,16 @@ are imported from their own modules: the 8x8 brute-force pipeline
 (``metrics.concurrence``, ``metrics.chsh``), the numeric Bloch averages
 (``metrics.bloch_fidelity_fn``, ``metrics.average_fts_numeric``) and the
 linear algebra behind them (``qlinalg``).
+
+Every command but ``run`` reads scalar closed forms only, so importing the
+package or its CLI loads no numpy.  The array states (``DensityOp``, the
+branch states of ``run_protocol``), ``run``'s numeric averages and the
+oracles import it on first use.
 """
 
 __version__ = "0.1.0"
 
+from .bloch import BlochAngles, ContractViolationError
 from .metrics import average_fts_affine, average_fts_analytic
 from .noisekernel import (
     DecoherenceFactors,
@@ -40,12 +46,17 @@ from .protocol import (
     run_protocol,
     run_with_factors,
 )
-from .qlinalg import (
-    BlochAngles,
-    ContractViolationError,
-    DensityOp,
-    UnsupportedDimensionError,
-)
+
+
+def __getattr__(name: str):
+    # the names whose module loads numpy resolve on first use (PEP 562)
+    if name not in ("DensityOp", "UnsupportedDimensionError"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import qlinalg
+
+    value = globals()[name] = getattr(qlinalg, name)
+    return value
+
 
 __all__ = [
     "__version__",

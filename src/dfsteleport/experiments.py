@@ -14,13 +14,15 @@ canonical config that produced it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
+try:  # CPython's own SHA-256: hashlib would load OpenSSL (~3.4 MB resident, ~3 ms) for it
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed it _sha2; hashlib serves any build
+    from hashlib import sha256
 
 from . import __version__
 from .metrics import _numeric_averages, average_fts_analytic
@@ -33,7 +35,7 @@ from .protocol import (
     Werner,
     run_with_factors,
 )
-from .qlinalg import BlochAngles
+from .bloch import BlochAngles
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,17 +158,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultTable:
-    headers: List[str]
-    rows: List[List]
-    metadata: Dict[str, str]
+    """A CSV artifact; ``to_csv`` checks each row's width and cells as it writes it."""
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.headers):
-                raise ValueError("table rows must match the header width")
-            for cell in row:
-                if isinstance(cell, float) and not math.isfinite(cell):
-                    raise ValueError("table cells must be finite")
+    headers: List[str]
+    rows: List[Sequence]
+    metadata: Dict[str, str]
 
 
 def _finite_number(val, where: str) -> float:
@@ -325,14 +321,14 @@ def _noise_dict(p: NoiseParams) -> dict:
 
 def config_hash(canonical: dict) -> str:
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _complex_pair(z: complex) -> List[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    return [float(z.real), float(z.imag)]
 
 
-def _matrix_pairs(mat: np.ndarray) -> List[List[List[float]]]:
+def _matrix_pairs(mat) -> List[List[List[float]]]:
     return [[_complex_pair(z) for z in row] for row in mat]
 
 
@@ -517,7 +513,7 @@ def figure_curve(which: int, panel: str) -> ResultTable:
         "concurrence": _fmt(FIGURE_CONCURRENCE),
         "n_points": str(FIGURE_POINTS),
     })
-    return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=curve.tolist(), metadata=meta)
+    return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=curve, metadata=meta)
 
 
 def _timing_problem(config: ExperimentConfig, window: Tuple[float, float],
@@ -548,16 +544,18 @@ def sweep_table(config: ExperimentConfig) -> ResultTable:
         "config_sha256": config_hash(config.canonical),
         "convention": config.convention,
     }
-    return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=curve.tolist(), metadata=meta)
+    return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=curve, metadata=meta)
 
 
 def optimize_report(config: ExperimentConfig, tol_tau: float = 1e-6) -> dict:
     """Timing-optimization report (JSON-ready dict)."""
-    window = config.window
+    window, field = config.window, "window"
     if window is None:
         # tau = 0 trivially maximizes the envelope; start past it by default
         window = (math.pi, 4.0 * math.pi)
-    problem = _timing_problem(config, window, grid_points(window, config.bob_noise.omega0), "window")
+        # the grid's size then follows the receiver's omega0 alone
+        field = f"bob_noise.omega0 = {config.bob_noise.omega0!r} over the default window (pi, 4*pi)"
+    problem = _timing_problem(config, window, grid_points(window, config.bob_noise.omega0), field)
     solution = maximize_timing(problem, tol_tau)
     return {
         "tool": "dfsteleport",
@@ -569,22 +567,31 @@ def optimize_report(config: ExperimentConfig, tol_tau: float = 1e-6) -> dict:
         "tau_star": solution.tau_star,
         "f_star": solution.f_star,
         "local_maxima": [[t, f] for t, f in solution.local_maxima],
-        "grid": solution.grid.tolist(),
+        "grid": solution.grid,
     }
 
 
 def to_csv(table: ResultTable) -> str:
-    """Deterministic CSV: metadata comments, header row, 12-significant-digit cells."""
+    """Deterministic CSV: metadata comments, header row, 12-significant-digit cells.
+
+    One pass over the cells checks each row's width and each float's
+    finiteness, and builds the row's format; each row is then formatted once.
+    """
+    width = len(table.headers)
     lines = [f"# {key}: {value}" for key, value in table.metadata.items()]
     lines.append(",".join(table.headers))
     for row in table.rows:
-        cells = []
+        if len(row) != width:
+            raise ValueError("table rows must match the header width")
+        formats = []
         for cell in row:
             if isinstance(cell, float):
-                cells.append(_fmt(cell))
+                if not math.isfinite(cell):
+                    raise ValueError("table cells must be finite")
+                formats.append("%.12g")  # _fmt's format
             else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+                formats.append("%s")
+        lines.append(",".join(formats) % tuple(row))
     return "\n".join(lines) + "\n"
 
 

@@ -29,6 +29,8 @@ conventions, so for a Werner resource both conventions report the same
 numeric averages by construction.  The (theta, phi) functions built from the branch
 elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
 ``average_fts_numeric``) are kept as its oracles; no command calls them.
+The closed-form averages are plain ``math``; the numeric averages, the
+oracles and the eigen-solver criteria below import numpy on first use.
 
 For a non-maximal pure resource the trace-4p bookkeeping makes the pointwise
 value exceed one near the poles; the physical (unit-trace, retention-
@@ -51,22 +53,19 @@ sum exceeds one, with maximal violation 2*sqrt(sum).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from .noisekernel import DecoherenceFactors, _gauss_legendre
 from .protocol import PurePair, ResourceSpec, Werner, _branch_elements
-from .qlinalg import (
-    PAULIS,
-    SIGMA_Y,
-    DensityOp,
-    eig_hermitian,
-    mat_sqrt_psd,
-)
 
-PointwiseFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .qlinalg import DensityOp
+
+PointwiseFn = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 _MIN_MC_SAMPLES = 1000
 _NODES = 64  # Gauss-Legendre nodes in theta and trapezoid nodes in phi
@@ -106,7 +105,7 @@ def average_fts_affine(resource: ResourceSpec, convention: str = "paper") -> Tup
         # the direct form cancels as q -> 0; 11 terms leave a tail below 1e-18 here
         j = sum(q ** (2 * k - 2) / (4 * k * k - 1) for k in range(11, 0, -1))
     else:
-        j = (q - (1.0 - q * q) * np.arctanh(q)) / (2.0 * q**3)
+        j = (q - (1.0 - q * q) * math.atanh(q)) / (2.0 * q**3)
     return 1.0 - j, c * j
 
 
@@ -121,6 +120,8 @@ def _fidelity_and_trace(resource: ResourceSpec, b: complex, theta, phi):
 
     Both are real arrays; the complex amplitudes and elements end with the call.
     """
+    import numpy as np
+
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     alpha = np.cos(theta / 2.0)
@@ -137,6 +138,8 @@ def _fidelity_and_trace(resource: ResourceSpec, b: complex, theta, phi):
 
 def _normalized(val, trace):
     """The physical (unit-trace) pointwise value; NaN where the branch has no weight."""
+    import numpy as np
+
     return np.where(trace > 0.0, val / np.where(trace > 0.0, trace, 1.0), np.nan)
 
 
@@ -169,6 +172,8 @@ def bloch_fidelity_fn(
 def _quadrature_theta():
     """``(theta, reduce)``: the Gauss-Legendre theta nodes and the map from
     phi-averaged values on them to their ``NumericAverage``."""
+    import numpy as np
+
     x, w = _gauss_legendre(_NODES)
     theta = 0.5 * np.pi * (x + 1.0)
     wtheta = 0.5 * np.pi * w * np.sin(theta)
@@ -182,6 +187,8 @@ def _quadrature_theta():
 def _montecarlo_cos_theta(samples: int, seed: int):
     """``(rng, cos_theta, reduce)``: the seeded cos(theta) draws, the generator
     left after them, and the map from values at the draws to their ``NumericAverage``."""
+    import numpy as np
+
     if samples < 2:
         raise ValueError("montecarlo needs at least 2 samples")
     rng = np.random.default_rng(seed)
@@ -201,6 +208,8 @@ def _montecarlo_cos_theta(samples: int, seed: int):
 def _bloch_points(method: str, samples: int = _MC_SAMPLES, seed: int = 0):
     """``(theta, phi, reduce)``: the method's points on the sphere and the map
     from the values there to their ``NumericAverage``."""
+    import numpy as np
+
     if method == "quadrature":
         theta, reduce_theta = _quadrature_theta()
         phi = 2.0 * np.pi * np.arange(_NODES) / _NODES
@@ -237,7 +246,7 @@ def average_fts_numeric(
 
 def _polar_fidelity_and_trace(resource: ResourceSpec, b: complex, u):
     """``_fidelity_and_trace`` as real functions of u = cos^2(theta/2) alone
-    (table in the module docstring)."""
+    (table in the module docstring).  A Werner trace is the constant 1."""
     v = 1.0 - u
     re_b = complex(b).real
     if isinstance(resource, PurePair):
@@ -246,7 +255,7 @@ def _polar_fidelity_and_trace(resource: ResourceSpec, b: complex, u):
         return 2.0 * (lam2 * u * u + mu2 * v * v + c * u * v * re_b), 2.0 * (mu2 * v + lam2 * u)
     if isinstance(resource, Werner):
         p = resource.p
-        return 0.5 + 0.5 * p * (2.0 * u - 1.0) ** 2 + 2.0 * p * re_b * u * v, np.ones_like(u)
+        return 0.5 + 0.5 * p * (2.0 * u - 1.0) ** 2 + 2.0 * p * re_b * u * v, 1.0
     raise TypeError(f"unknown resource spec {resource!r}")
 
 
@@ -262,6 +271,8 @@ def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
     rounding.  Werner branch states have unit trace, so their physical averages
     are the paper ones.
     """
+    import numpy as np
+
     theta, quadrature = _quadrature_theta()
     _, cos_theta, montecarlo = _montecarlo_cos_theta(_MC_SAMPLES, seed)
     paper, physical = [], []
@@ -274,6 +285,10 @@ def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
 
 def concurrence(rho: DensityOp) -> float:
     """Wootters concurrence of a two-qubit state."""
+    import numpy as np
+
+    from .qlinalg import SIGMA_Y, eig_hermitian, mat_sqrt_psd
+
     if rho.dim != 4:
         raise ValueError("concurrence requires a two-qubit state")
     yy = np.kron(SIGMA_Y, SIGMA_Y)
@@ -286,6 +301,10 @@ def concurrence(rho: DensityOp) -> float:
 
 def chsh(rho: DensityOp) -> NonlocalityReport:
     """Correlation-matrix CHSH criterion for a two-qubit state."""
+    import numpy as np
+
+    from .qlinalg import PAULIS, eig_hermitian
+
     if rho.dim != 4:
         raise ValueError("chsh requires a two-qubit state")
     t = np.empty((3, 3), dtype=float)

@@ -29,9 +29,10 @@ coth(w/2T) = 1 + 2*sum_n exp(-n w/T) gives
 
 (the product formula of the Gamma function).  ``_thermal_sum`` evaluates it.
 
-The closed forms are the program path (``method="closed"``, the default).
-``method="quadrature"`` integrates the frequency integrals above instead and
-serves as their independent oracle: they are truncated at
+The closed forms are the program path (``method="closed"``, the default),
+in plain ``math``/``cmath``.  ``method="quadrature"`` integrates the frequency
+integrals above instead, with numpy imported on first use, and serves as
+their independent oracle: they are truncated at
 ``max(40*lambda_c, 40/t)`` (the Ohmic envelope makes the discarded tail
 < 1e-17 relative) and evaluated on composite Gauss-Legendre panels no wider
 than half an oscillation period ``pi/t``, then re-evaluated on doubled panel
@@ -47,15 +48,14 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 REL_TOL = 1e-8
 _ABS_FLOOR = 1e-14
 # largest x whose square is finite; past it the closed forms switch to overflow-free variants
-_SQRT_MAX = float(np.sqrt(np.finfo(float).max))
+_SQRT_MAX = math.sqrt(sys.float_info.max)
 # Stirling coefficients B_2k / (2k (2k-1)) of lnGamma(w), k = 1..5, of the powers w^-(2k-1)
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 
@@ -89,13 +89,13 @@ class NoiseParams:
     omega0: float = 1.0
 
     def __post_init__(self):
-        if not (self.gamma >= 0.0 and np.isfinite(self.gamma)):
+        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
             raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
-        if not (self.lambda_c > 0.0 and np.isfinite(self.lambda_c)):
+        if not (self.lambda_c > 0.0 and math.isfinite(self.lambda_c)):
             raise ValueError(f"lambda_c must be > 0, got {self.lambda_c!r}")
-        if not (self.temperature >= 0.0 and np.isfinite(self.temperature)):
+        if not (self.temperature >= 0.0 and math.isfinite(self.temperature)):
             raise ValueError(f"temperature must be >= 0, got {self.temperature!r}")
-        if not (self.omega0 > 0.0 and np.isfinite(self.omega0)):
+        if not (self.omega0 > 0.0 and math.isfinite(self.omega0)):
             raise ValueError(f"omega0 must be > 0, got {self.omega0!r}")
 
 
@@ -118,7 +118,7 @@ class DecoherenceFactors:
     def __post_init__(self):
         for name in ("f", "g", "a", "b"):
             z = complex(getattr(self, name))
-            if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+            if not cmath.isfinite(z):
                 raise ValueError(f"factor {name} is not finite")
             if abs(z) > 1.0 + 1e-9:
                 raise ValueError(f"factor {name} has magnitude {abs(z)!r} > 1")
@@ -126,26 +126,32 @@ class DecoherenceFactors:
             raise ValueError("tau must be >= 0")
 
 
-def _coth_over_one(omega: np.ndarray, temperature: float) -> np.ndarray:
+def _coth_over_one(omega, temperature: float):
     # coth(w/2T); tanh keeps both the w->0 and w->inf ends overflow-free
+    import numpy as np
+
     if temperature == 0.0:
         return np.ones_like(omega)
     return 1.0 / np.tanh(omega / (2.0 * temperature))
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre(n: int):
     """Frozen nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1].
 
     Built on first use and kept: each build is an eigen-solve, and building at
-    import would load numpy.polynomial in every process (~1.5 MB resident).
+    import would load numpy in every process.
     """
+    import numpy as np
+
     nodes, weights = np.polynomial.legendre.leggauss(n)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _panel_integral(fn: Callable[[np.ndarray], np.ndarray], upper: float, n_panels: int) -> float:
+def _panel_integral(fn: Callable, upper: float, n_panels: int) -> float:
+    import numpy as np
+
     nodes, weights = _gauss_legendre(16)
     edges = np.linspace(0.0, upper, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -158,8 +164,8 @@ def _panel_integral(fn: Callable[[np.ndarray], np.ndarray], upper: float, n_pane
 def _frequency_integral(fn, params: NoiseParams, t: float) -> float:
     """Converged integral of ``fn`` over (0, omega_max) for an Ohmic-enveloped integrand."""
     omega_max = max(40.0 * params.lambda_c, 40.0 / t)
-    width = min(np.pi / t, 0.5 * params.lambda_c)
-    n = int(np.clip(np.ceil(omega_max / width), 32, 20000))
+    width = min(math.pi / t, 0.5 * params.lambda_c)
+    n = math.ceil(min(max(omega_max / width, 32.0), 20000.0))
     previous = _panel_integral(fn, omega_max, n)
     for refinement in (2, 4, 8):
         current = _panel_integral(fn, omega_max, refinement * n)
@@ -237,6 +243,7 @@ def decay_rate(params: NoiseParams, t: float, method: str = "closed") -> float:
         return vacuum if params.temperature == 0.0 else vacuum + 4.0 * params.gamma * _thermal_sum(params, t)[1]
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
+    import numpy as np
 
     def integrand(w):
         return (
@@ -267,10 +274,11 @@ def cumulative_decay(params: NoiseParams, tau: float, method: str = "closed") ->
         if x > _SQRT_MAX:  # ln(1 + x^2) = 2 ln(x) to double precision; L*tau itself may overflow
             vacuum = 4.0 * params.gamma * (math.log(params.lambda_c) + math.log(tau))
         else:
-            vacuum = 2.0 * params.gamma * np.log1p(x**2)
+            vacuum = 2.0 * params.gamma * math.log1p(x**2)
         return vacuum if params.temperature == 0.0 else vacuum + 4.0 * params.gamma * _thermal_sum(params, tau)[0]
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
+    import numpy as np
 
     def integrand(w):
         # 1 - cos as 2 sin^2 avoids cancellation at small w*tau
@@ -304,10 +312,11 @@ def phase_integral(params: NoiseParams, tau: float, method: str = "closed") -> f
         if x < 1e-3:
             core = x**3 / 3.0 - x**5 / 5.0
         else:
-            core = x - np.arctan(x)
+            core = x - math.atan(x)
         return 4.0 * params.gamma * core
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
+    import numpy as np
 
     def integrand(w):
         x = w * tau
@@ -339,9 +348,9 @@ def factors_at(alice: NoiseParams, bob: NoiseParams, tau: float) -> DecoherenceF
     p_alice = phase_integral(alice, tau)
     wa = alice.omega0 * tau
     return DecoherenceFactors(
-        f=np.exp(complex(-g_alice, -wa + p_alice)),
-        g=np.exp(complex(-g_alice, +wa + p_alice)),
-        a=np.exp(complex(-4.0 * g_alice, -2.0 * wa)),
+        f=cmath.exp(complex(-g_alice, -wa + p_alice)),
+        g=cmath.exp(complex(-g_alice, +wa + p_alice)),
+        a=cmath.exp(complex(-4.0 * g_alice, -2.0 * wa)),
         b=receiver_factor(bob, tau),
         tau=tau,
     )
@@ -352,4 +361,4 @@ def receiver_factor(bob: NoiseParams, tau: float) -> complex:
 
     The retained fidelity and the timing objective depend on no other factor.
     """
-    return np.exp(complex(-cumulative_decay(bob, tau), -bob.omega0 * tau))
+    return cmath.exp(complex(-cumulative_decay(bob, tau), -bob.omega0 * tau))

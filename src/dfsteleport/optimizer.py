@@ -40,8 +40,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-import numpy as np
-
 from .metrics import average_fts_affine
 from .noisekernel import NoiseParams, decay_rate, receiver_factor
 from .protocol import ResourceSpec
@@ -72,7 +70,7 @@ class TimingSolution:
     tau_star: float
     f_star: float
     local_maxima: Tuple[Tuple[float, float], ...]
-    grid: np.ndarray  # columns (tau, fidelity)
+    grid: List[Tuple[float, float]]  # (tau, fidelity) rows
 
 
 def objective_fn(problem: TimingProblem) -> Callable[[float], float]:
@@ -96,19 +94,31 @@ def grid_points(window: Tuple[float, float], omega0: float) -> int:
     return max(int(math.ceil(min((hi - lo) * max(omega0, 1.0) / _MAX_GRID_STEP, 2.0**53))) + 1, 3)
 
 
-def _curve(problem: TimingProblem, n_points: int) -> Tuple[np.ndarray, List[float]]:
+def _linspace(lo: float, hi: float, n: int) -> List[float]:
+    """``n`` evenly spaced floats from ``lo`` to ``hi``, the same floats as ``numpy.linspace``."""
+    div = n - 1
+    step = (hi - lo) / div
+    if step == 0.0:  # the span over div underflows; numpy then scales i/div instead
+        taus = [i / div * (hi - lo) + lo for i in range(n)]
+    else:
+        taus = [i * step + lo for i in range(n)]
+    taus[-1] = hi
+    return taus
+
+
+def _curve(problem: TimingProblem, n_points: int) -> Tuple[List[float], List[float]]:
     """Uniform tau grid over the window and Re b at each point."""
     if n_points < 2:
         raise ValueError("n_points must be >= 2")
-    taus = np.linspace(problem.window[0], problem.window[1], n_points)
+    taus = _linspace(problem.window[0], problem.window[1], n_points)
     return taus, [receiver_factor(problem.bob_noise, t).real for t in taus]
 
 
-def sweep(problem: TimingProblem, n_points: int) -> np.ndarray:
-    """Uniform tau grid of (tau, average fidelity) over the problem window."""
+def sweep(problem: TimingProblem, n_points: int) -> List[Tuple[float, float]]:
+    """Uniform tau grid of (tau, average fidelity) rows over the problem window."""
     f0, slope = average_fts_affine(problem.resource, problem.convention)
     taus, re_b = _curve(problem, n_points)
-    return np.column_stack([taus, [f0 + slope * r for r in re_b]])
+    return [(t, f0 + slope * r) for t, r in zip(taus, re_b)]
 
 
 def _rate_sign_change(bob: NoiseParams, lo: float, hi: float, tol: float) -> Optional[float]:
@@ -158,8 +168,8 @@ def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolu
             tau = _rate_sign_change(problem.bob_noise, taus[i - 1], taus[i + 1], tol_tau)
             if tau is not None:
                 f = f0 + slope * receiver_factor(problem.bob_noise, tau).real
-                local_maxima.append((float(tau), float(f)))
-    candidates = local_maxima + [(float(taus[0]), float(values[0])), (float(taus[-1]), float(values[-1]))]
+                local_maxima.append((tau, f))
+    candidates = local_maxima + [(taus[0], values[0]), (taus[-1], values[-1])]
 
     best_f = max(f for _, f in candidates)
     tau_star, f_star = min(
@@ -170,5 +180,5 @@ def maximize_timing(problem: TimingProblem, tol_tau: float = 1e-6) -> TimingSolu
         tau_star=tau_star,
         f_star=f_star,
         local_maxima=tuple(local_maxima),
-        grid=np.column_stack([taus, values]),
+        grid=list(zip(taus, values)),
     )

@@ -26,6 +26,10 @@ unity on the up-down/down-up subspace); the phi branches accumulate the
 product of both wings' factors.  The standard keep-everything protocol of
 Bennett et al. (PRL 70, 1895, 1993) remains available as a baseline through
 ``Strategy.RETAIN_ALL``.
+
+The resource records and the branch table are plain Python; the functions
+that return ``DensityOp`` states import ``qlinalg``, and with it numpy, on
+first use.
 """
 
 from __future__ import annotations
@@ -33,23 +37,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
-import numpy as np
-
+from .bloch import BlochAngles, ContractViolationError
 from .noisekernel import DecoherenceFactors, NoiseParams, factors_at
-from .qlinalg import (
-    PSD_TOL,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    BlochAngles,
-    ContractViolationError,
-    DensityOp,
-    PureKet,
-    _unchecked,
-    tensor,
-)
+
+if TYPE_CHECKING:
+    from .qlinalg import DensityOp
 
 DEGENERATE_PROB = 1e-14
 PROB_SUM_TOL = 1e-12
@@ -63,8 +57,9 @@ class PurePair:
     lam: float
 
     def __post_init__(self):
-        if self.mu < 0.0 or self.lam < 0.0:
-            raise ValueError("mu and lam must be >= 0")
+        # checked before squaring: a float ** 2 past ~1.3e154 raises OverflowError
+        if not (0.0 <= self.mu <= 1.0 and 0.0 <= self.lam <= 1.0):
+            raise ValueError(f"mu and lam must be in [0, 1], got {self.mu!r} and {self.lam!r}")
         if abs(self.mu**2 + self.lam**2 - 1.0) > 1e-12:
             raise ValueError(f"mu^2 + lam^2 = {self.mu ** 2 + self.lam ** 2!r}, expected 1")
 
@@ -127,19 +122,20 @@ BELL_ORDER = (
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 _BELL_AMPS = {
-    BellOutcome.PHI_PLUS: np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex),
-    BellOutcome.PHI_MINUS: np.array([_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2], dtype=complex),
-    BellOutcome.PSI_PLUS: np.array([0.0, _INV_SQRT2, _INV_SQRT2, 0.0], dtype=complex),
-    BellOutcome.PSI_MINUS: np.array([0.0, _INV_SQRT2, -_INV_SQRT2, 0.0], dtype=complex),
+    BellOutcome.PHI_PLUS: (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2),
+    BellOutcome.PHI_MINUS: (_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2),
+    BellOutcome.PSI_PLUS: (0.0, _INV_SQRT2, _INV_SQRT2, 0.0),
+    BellOutcome.PSI_MINUS: (0.0, _INV_SQRT2, -_INV_SQRT2, 0.0),
 }
 
-# receiver-side corrections; the phi-minus one matters only for RETAIN_ALL runs.
-# run_with_factors applies them as element permutations of the branch states
+# receiver-side corrections I, Z, X and iY; the phi-minus one matters only for
+# RETAIN_ALL runs.  run_with_factors applies them as element permutations of
+# the branch states
 _CORRECTIONS = {
-    BellOutcome.PHI_PLUS: np.eye(2, dtype=complex),
-    BellOutcome.PHI_MINUS: SIGMA_Z,
-    BellOutcome.PSI_PLUS: SIGMA_X,
-    BellOutcome.PSI_MINUS: 1j * SIGMA_Y,
+    BellOutcome.PHI_PLUS: ((1.0, 0.0), (0.0, 1.0)),
+    BellOutcome.PHI_MINUS: ((1.0, 0.0), (0.0, -1.0)),
+    BellOutcome.PSI_PLUS: ((0.0, 1.0), (1.0, 0.0)),
+    BellOutcome.PSI_MINUS: ((0.0, 1.0), (-1.0, 0.0)),
 }
 
 
@@ -193,11 +189,14 @@ class ProtocolRun:
 
 def resource_state(resource: ResourceSpec) -> DensityOp:
     """Two-qubit density operator of the shared resource."""
+    import numpy as np
+
+    from .qlinalg import PureKet, _unchecked
+
     if isinstance(resource, PurePair):
-        ket = PureKet(np.array([resource.mu, 0.0, 0.0, resource.lam], dtype=complex))
-        return ket.projector()
+        return PureKet([resource.mu, 0.0, 0.0, resource.lam]).projector()
     if isinstance(resource, Werner):
-        phi = _BELL_AMPS[BellOutcome.PHI_PLUS]
+        phi = np.array(_BELL_AMPS[BellOutcome.PHI_PLUS], dtype=complex)
         mat = resource.p * np.outer(phi, phi.conj()) + (1.0 - resource.p) / 4.0 * np.eye(4)
         return _unchecked(mat)
     raise TypeError(f"unknown resource spec {resource!r}")
@@ -205,6 +204,8 @@ def resource_state(resource: ResourceSpec) -> DensityOp:
 
 def build_joint(input_state: BlochAngles, resource: ResourceSpec) -> DensityOp:
     """Initial three-qubit state: input qubit (leftmost) times resource pair."""
+    from .qlinalg import tensor
+
     rho_in = input_state.ket().projector()
     return tensor(rho_in, resource_state(resource))
 
@@ -244,6 +245,8 @@ def _check_sender_map(factors: DecoherenceFactors) -> None:
     determinant being >= 0.  Factors from one bath give (1 - x)^2 (1 - x^2)
     with x = exp(-2G), never negative.
     """
+    from .qlinalg import PSD_TOL
+
     f, g, a = complex(factors.f), complex(factors.g), complex(factors.a)
     det = 1.0 - abs(f) ** 2 - abs(g) ** 2 - abs(a) ** 2 + 2.0 * (f * g.conjugate() * a.conjugate()).real
     if det < -PSD_TOL:
@@ -265,6 +268,10 @@ def run_with_factors(
     The caller's factors are checked once, by ``_check_sender_map``; the
     states built from them are wrapped without a re-check.
     """
+    import numpy as np
+
+    from .qlinalg import _unchecked
+
     _check_sender_map(factors)
     alpha, beta = input_state.alpha, input_state.beta
     weight_up, weight_down = abs(alpha) ** 2, abs(beta) ** 2
@@ -335,6 +342,8 @@ def _branch_elements(resource: ResourceSpec, alpha, beta, coherence):
     with the amplitudes swapped and coherence a*b.  The minus outcomes negate
     m01.  Pure resource: trace 4p; Werner resource: unit trace.
     """
+    import numpy as np
+
     if isinstance(resource, PurePair):
         mu, lam = resource.mu, resource.lam
         return (
@@ -376,6 +385,10 @@ def analytic_branch_states(
     The states are PSD by construction for any valid factors (|a|, |b| <= 1),
     so they are wrapped without an eigen-check.
     """
+    import numpy as np
+
+    from .qlinalg import _unchecked
+
     out: Dict[BellOutcome, DensityOp] = {}
     for outcome, sign, m00, m11, m01 in _paper_scaled_elements(input_state, resource, factors):
         m = np.array([[m00, sign * m01], [sign * m01.conjugate(), m11]])

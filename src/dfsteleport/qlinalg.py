@@ -13,6 +13,9 @@ Hermiticity, trace and positivity (a projector, a tensor product, a
 closed-form branch state) is wrapped by ``_unchecked`` without a second
 eigen-solve.  Values are immutable either way (the wrapped arrays are frozen),
 so everything in this module is safe to share across parallel workers.
+
+This module imports numpy at load.  The package imports it on first use of an
+array state, so a command that reads only scalar closed forms never does.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 import numpy as np
+
+from .bloch import BlochAngles, ContractViolationError  # noqa: F401  (BlochAngles is re-exported)
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -36,10 +41,6 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 class UnsupportedDimensionError(ValueError):
     """Operand or result dimension outside the supported set {2, 4, 8}."""
-
-
-class ContractViolationError(ValueError):
-    """Input violates a documented precondition (non-Hermitian, non-PSD, ...)."""
 
 
 def _as_complex_matrix(mat: np.ndarray | Iterable) -> np.ndarray:
@@ -124,35 +125,6 @@ class PureKet:
         if self.dim not in SUPPORTED_DIMS:
             raise UnsupportedDimensionError(f"projector dimension {self.dim} not in {SUPPORTED_DIMS}")
         return _unchecked(np.outer(self.amps, self.amps.conj()))
-
-
-@dataclass(frozen=True)
-class BlochAngles:
-    """Bloch-sphere angles of a single-qubit pure state.
-
-    The amplitudes are ``alpha = cos(theta/2)`` on spin-up and
-    ``beta = sin(theta/2) * exp(i*phi)`` on spin-down.
-    """
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= np.pi):
-            raise ContractViolationError(f"theta={self.theta!r} outside [0, pi]")
-        if not (0.0 <= self.phi < 2.0 * np.pi):
-            raise ContractViolationError(f"phi={self.phi!r} outside [0, 2*pi)")
-
-    @property
-    def alpha(self) -> complex:
-        return complex(np.cos(self.theta / 2.0))
-
-    @property
-    def beta(self) -> complex:
-        return complex(np.sin(self.theta / 2.0) * np.exp(1j * self.phi))
-
-    def ket(self) -> PureKet:
-        return PureKet(np.array([self.alpha, self.beta]))
 
 
 def tensor(a: DensityOp | PureKet, b: DensityOp | PureKet) -> DensityOp | PureKet:

@@ -84,11 +84,11 @@ def brute_force_run(
     branches = []
     probabilities: Dict[BellOutcome, float] = {}
     for outcome in BELL_ORDER:
-        bell = _BELL_AMPS[outcome]
+        bell = np.asarray(_BELL_AMPS[outcome], dtype=complex)
         unnorm = np.einsum("i,ijkl,k->jl", bell.conj(), rho, bell)
         prob = float(np.trace(unnorm).real)
         probabilities[outcome] = prob
-        correction = _CORRECTIONS[outcome]
+        correction = np.asarray(_CORRECTIONS[outcome], dtype=complex)
         corrected_scaled = correction @ (4.0 * unnorm) @ correction.conj().T
         fidelity_paper = float(np.real(psi_in.conj() @ corrected_scaled @ psi_in))
         degenerate = prob <= DEGENERATE_PROB

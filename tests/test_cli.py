@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -11,6 +12,7 @@ from dfsteleport import cli, experiments, optimizer
 from dfsteleport.experiments import (
     ConfigError,
     DEVIATION_FLAG,
+    ResultTable,
     TOL_CONCURRENCE,
     figure_curve,
     optimize_report,
@@ -153,6 +155,9 @@ def test_config_hash_stable_and_sensitive():
     assert experiments.config_hash(a.canonical) == experiments.config_hash(b.canonical)
     c = parse_config({**TABLE1_CONFIG, "seed": 6})
     assert experiments.config_hash(a.canonical) != experiments.config_hash(c.canonical)
+    # the standard SHA-256 of the canonical JSON, whichever implementation computes it
+    blob = json.dumps(a.canonical, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert experiments.config_hash(a.canonical) == hashlib.sha256(blob).hexdigest()
 
 
 # --------------------------------------------------------------------- tables
@@ -241,6 +246,17 @@ def test_table_csv_is_rectangular_and_finite():
         width = len(lines[0].split(","))
         assert all(len(l.split(",")) == width for l in lines)
         assert "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize("rows,message", [
+    ([[1.0, 2.0], [3.0, math.nan]], "finite"),
+    ([[1.0, 2.0], [3.0, -math.inf]], "finite"),
+    ([[1.0, 2.0], [3.0]], "width"),
+    ([[1.0, 2.0, 3.0]], "width"),
+])
+def test_to_csv_rejects_a_non_finite_cell_or_a_ragged_row(rows, message):
+    with pytest.raises(ValueError, match=message):
+        to_csv(ResultTable(headers=["x", "y"], rows=rows, metadata={}))
 
 
 # -------------------------------------------------------------------- figures
@@ -407,6 +423,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         # finite, but the sender's bath phase 4*gamma*(L*tau - atan(L*tau)) overflows
         ("run", {"tau": 1e300, "alice_noise": {"gamma": 0.1, "lambda_c": 1e300}}, "tau"),
         ("run", {"tau": 1e150, "alice_noise": {"gamma": 0.1, "lambda_c": 1e160}}, "tau"),
+        # finite, but mu**2 or lambda**2 overflows: rejected as above one before squaring
+        ("run", {"resource": {"kind": "pure", "mu": 1e200, "lambda": 0.5}}, "resource"),
+        ("run", {"resource": {"kind": "pure", "mu": 0.5, "lambda": 1e200}}, "resource"),
     ],
 )
 def test_cli_rejects_non_finite_or_non_numeric_config_values(tmp_path, capsys, command, doc, field):
@@ -504,6 +523,17 @@ def test_cli_caps_the_tau_points_of_a_job(tmp_path, monkeypatch, capsys, command
     assert cli.main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and field in err and str(experiments.MAX_TAU_POINTS) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_names_the_receiver_omega0_when_the_default_window_is_too_fine(tmp_path, capsys):
+    # with no window the grid's size follows bob_noise.omega0 over the default (pi, 4*pi)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"bob_noise": {"gamma": 0.1, "lambda_c": 0.05, "omega0": 1000}}))
+    assert cli.main(["optimize", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bob_noise.omega0 = 1000.0 over the default window (pi, 4*pi): ")
+    assert str(experiments.MAX_TAU_POINTS) in err
     assert not (tmp_path / "out").exists()
 
 

@@ -250,7 +250,7 @@ def test_zero_temperature_values_are_the_vacuum_formulas(monkeypatch):
         gamma, lam, tau = (float(10.0**e) for e in rng.uniform((-3, -3, -3), (1, 2, 3)))
         p = NoiseParams(gamma, lam)
         x = lam * tau
-        assert cumulative_decay(p, tau) == 2.0 * gamma * np.log1p(x**2)
+        assert cumulative_decay(p, tau) == 2.0 * gamma * math.log1p(x**2)
         assert decay_rate(p, tau) == 4.0 * gamma * lam**2 * tau / (1.0 + x**2)
 
 

@@ -39,7 +39,7 @@ def test_problem_validation():
 
 def test_sweep_noiseless_cosine_curve():
     problem = pure_problem(1.0, 0.0, 1.0, (0.0, 2.0 * TWO_PI))
-    curve = sweep(problem, 101)
+    curve = np.asarray(sweep(problem, 101))
     want = 2.0 / 3.0 + np.cos(curve[:, 0]) / 3.0
     assert np.max(np.abs(curve[:, 1] - want)) <= 1e-13
 
@@ -48,7 +48,7 @@ def test_sweep_matches_receiver_only_formula():
     # proves sender-bath independence of the objective: the curve is a pure
     # function of receiver gamma/lambda and the resource concurrence
     problem = pure_problem(0.8, 0.1, 0.05, (0.0, 4.0 * TWO_PI))
-    curve = sweep(problem, 201)
+    curve = np.asarray(sweep(problem, 201))
     want = pure_formula(0.8, 0.1, 0.05, curve[:, 0])
     assert np.max(np.abs(curve[:, 1] - want)) <= 1e-12
 
@@ -69,7 +69,7 @@ def test_sweep_werner_stays_within_envelope_bounds():
         bob_noise=NoiseParams(0.1, 0.02),
         window=(0.0, 4.0 * TWO_PI),
     )
-    curve = sweep(problem, 301)
+    curve = np.asarray(sweep(problem, 301))
     upper = p / 2.0 + 0.5
     lower = 0.5 + p / 6.0 - p / 3.0
     assert np.all(curve[:, 1] <= upper + 1e-12)
@@ -110,7 +110,7 @@ def test_maximize_werner_published_window():
 def test_maximize_dominates_grid_and_collects_maxima():
     problem = pure_problem(0.8, 0.1, 0.2, (0.5, 26.5))
     sol = maximize_timing(problem, tol_tau=1e-8)
-    assert sol.f_star >= np.max(sol.grid[:, 1]) - 1e-12
+    assert sol.f_star >= np.max(np.asarray(sol.grid)[:, 1]) - 1e-12
     assert problem.window[0] <= sol.tau_star <= problem.window[1]
     # one interior maximum near each even multiple of pi inside the window
     assert len(sol.local_maxima) == 4
@@ -230,7 +230,7 @@ def test_maximize_flat_fidelity_reports_the_maxima_of_re_b(monkeypatch):
     sol = maximize_timing(problem)
     assert sol.tau_star == problem.window[0]
     assert len(sol.local_maxima) == 2
-    assert not set(t for t, _ in sol.local_maxima) & set(sol.grid[:, 0])
+    assert not set(t for t, _ in sol.local_maxima) & set(np.asarray(sol.grid)[:, 0])
     # one receiver factor per grid point, and one per reported maximum
     assert len(evaluated) == grid_points(problem.window, problem.bob_noise.omega0) + len(sol.local_maxima)
 
@@ -241,7 +241,7 @@ def test_maximize_bisects_each_bracket_off_the_grid(monkeypatch):
     sol = maximize_timing(problem)
     assert len(sol.local_maxima) == 1
     assert sol.tau_star == sol.local_maxima[0][0]
-    assert sol.tau_star not in set(sol.grid[:, 0])
+    assert sol.tau_star not in set(np.asarray(sol.grid)[:, 0])
     assert len(evaluated) == grid_points(problem.window, problem.bob_noise.omega0) + 1
 
 
@@ -262,7 +262,7 @@ def test_one_coefficient_read_per_problem(monkeypatch, resource, convention):
     sol = maximize_timing(problem)
     assert reads == [(resource, convention)]
     reads.clear()
-    curve = sweep(problem, 301)
+    curve = np.asarray(sweep(problem, 301))
     assert reads == [(resource, convention)]
     want = [average_fts_analytic(resource, receiver_factor(problem.bob_noise, t), convention) for t in curve[:, 0]]
     assert curve[:, 1].tolist() == want

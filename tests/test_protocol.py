@@ -293,7 +293,7 @@ def test_balanced_pair_spin_up_input_psi_branch():
 
 def test_corrections_are_unitary():
     for outcome in BELL_ORDER:
-        u = _CORRECTIONS[outcome]
+        u = np.asarray(_CORRECTIONS[outcome])
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
 
 
