@@ -26,8 +26,11 @@ the table above.  A run takes its quadrature and Monte-Carlo cross-checks from
 this polar form (``_polar_fidelity_and_trace``) on the 64 Gauss-Legendre theta
 nodes and on the seeded cos(theta) draws, each evaluated once for both
 conventions, so for a Werner resource both conventions report the same
-numeric averages by construction.  The (theta, phi) functions built from the branch
-elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
+numeric averages by construction.  Each point set runs in at most four rows
+allocated once per call, draws included, every step in place: a fresh 800 kB
+temporary per step came back as page faults on every call, once the heap had
+returned the freed pages to the system.  The (theta, phi) functions built
+from the branch elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
 ``average_fts_numeric``) are kept as its oracles; no command calls them.
 The closed-form averages are plain ``math``; the numeric averages, the
 oracles and the eigen-solver criteria below import numpy on first use.
@@ -136,11 +139,17 @@ def _fidelity_and_trace(resource: ResourceSpec, b: complex, theta, phi):
     return val, m11 + m00
 
 
-def _normalized(val, trace):
-    """The physical (unit-trace) pointwise value; NaN where the branch has no weight."""
+def _normalized(val, trace, out=None):
+    """The physical (unit-trace) pointwise value; NaN where the branch has no weight.
+
+    Written into ``out``, a row apart from ``val`` and ``trace``, when given.
+    """
     import numpy as np
 
-    return np.where(trace > 0.0, val / np.where(trace > 0.0, trace, 1.0), np.nan)
+    if out is None:
+        out = np.empty_like(val)
+    out.fill(np.nan)
+    return np.divide(val, trace, out=out, where=trace > 0.0)
 
 
 def bloch_fidelity_fn(
@@ -178,29 +187,39 @@ def _quadrature_theta():
     theta = 0.5 * np.pi * (x + 1.0)
     wtheta = 0.5 * np.pi * w * np.sin(theta)
 
-    def reduce(vals) -> NumericAverage:
+    def reduce(vals, work=None) -> NumericAverage:
+        # the dot product needs no work row
         return NumericAverage(value=float(np.dot(wtheta, vals) / 2.0), stderr=None)
 
     return theta, reduce
 
 
-def _montecarlo_cos_theta(samples: int, seed: int):
-    """``(rng, cos_theta, reduce)``: the seeded cos(theta) draws, the generator
-    left after them, and the map from values at the draws to their ``NumericAverage``."""
+def _montecarlo_cos_theta(samples: int, seed: int, out=None):
+    """``(rng, cos_theta, reduce)``: the seeded cos(theta) draws, written into
+    ``out`` when given, the generator left after them, and the map from values
+    at the draws to their ``NumericAverage``.  The map squares the deviations
+    from the mean in its ``work`` row when given."""
     import numpy as np
 
     if samples < 2:
         raise ValueError("montecarlo needs at least 2 samples")
     rng = np.random.default_rng(seed)
-    cos_theta = rng.uniform(-1.0, 1.0, samples)
+    # rng.uniform(-1.0, 1.0, samples) step by step, in place
+    cos_theta = rng.random(out=np.empty(samples) if out is None else out)
+    cos_theta *= 2.0
+    cos_theta += -1.0
 
-    def reduce(vals) -> NumericAverage:
-        value = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
+    def reduce(vals, work=None) -> NumericAverage:
+        # np.mean and np.std(ddof=1) step by step, so the bits are theirs
+        mean = np.add.reduce(vals, axis=None) / samples
+        dev = np.subtract(vals, mean, out=work)
+        np.square(dev, out=dev)
+        std = np.sqrt(np.add.reduce(dev, axis=None) / (samples - 1))
+        stderr = float(std / np.sqrt(samples))
         widened = samples < _MIN_MC_SAMPLES
         if widened:
             stderr *= 2.0
-        return NumericAverage(value=value, stderr=stderr, widened=widened)
+        return NumericAverage(value=float(mean), stderr=stderr, widened=widened)
 
     return rng, cos_theta, reduce
 
@@ -244,18 +263,50 @@ def average_fts_numeric(
     return reduce(pointwise(theta, phi))
 
 
-def _polar_fidelity_and_trace(resource: ResourceSpec, b: complex, u):
+def _polar_fidelity_and_trace(resource: ResourceSpec, b: complex, u, *work):
     """``_fidelity_and_trace`` as real functions of u = cos^2(theta/2) alone
-    (table in the module docstring).  A Werner trace is the constant 1."""
-    v = 1.0 - u
+    (table in the module docstring).  A Werner trace is the constant 1.
+
+    ``work`` is three rows shaped like u, fresh ones when not given.  The value
+    is returned in the second and a pure trace in the third; u is left as it
+    was.  Each step runs in place, associated as the comments write it: the
+    averages' bits depend on that order.
+    """
+    import numpy as np
+
+    v, val, tmp = work or np.empty((3,) + np.shape(u))
     re_b = complex(b).real
+    np.subtract(1.0, u, out=v)
     if isinstance(resource, PurePair):
         mu2, lam2 = resource.mu**2, resource.lam**2
-        c = resource.concurrence
-        return 2.0 * (lam2 * u * u + mu2 * v * v + c * u * v * re_b), 2.0 * (mu2 * v + lam2 * u)
+        # value 2 ((lam2 u) u + (mu2 v) v + ((C u) v) Re b), trace 2 (mu2 v + lam2 u)
+        np.multiply(lam2, u, out=val)
+        val *= u
+        np.multiply(mu2, v, out=tmp)
+        tmp *= v
+        val += tmp
+        np.multiply(resource.concurrence, u, out=tmp)
+        tmp *= v
+        tmp *= re_b
+        val += tmp
+        val *= 2.0
+        np.multiply(mu2, v, out=tmp)
+        np.multiply(lam2, u, out=v)
+        tmp += v
+        tmp *= 2.0
+        return val, tmp
     if isinstance(resource, Werner):
         p = resource.p
-        return 0.5 + 0.5 * p * (2.0 * u - 1.0) ** 2 + 2.0 * p * re_b * u * v, 1.0
+        # value 1/2 + (p/2) (2u - 1)^2 + ((2p Re b) u) v
+        np.multiply(2.0, u, out=val)
+        val -= 1.0
+        np.square(val, out=val)
+        val *= 0.5 * p
+        val += 0.5
+        np.multiply(2.0 * p * re_b, u, out=tmp)
+        tmp *= v
+        val += tmp
+        return val, 1.0
     raise TypeError(f"unknown resource spec {resource!r}")
 
 
@@ -269,17 +320,25 @@ def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
     conventions.  Every average agrees with ``average_fts_numeric(
     bloch_fidelity_fn(resource, factors, convention), method, seed=seed)`` to
     rounding.  Werner branch states have unit trace, so their physical averages
-    are the paper ones.
+    are the paper ones.  Each point set runs in its own four rows.
     """
     import numpy as np
 
     theta, quadrature = _quadrature_theta()
-    _, cos_theta, montecarlo = _montecarlo_cos_theta(_MC_SAMPLES, seed)
+    quad_rows = np.empty((4, _NODES))
+    np.cos(theta, out=quad_rows[0])
+    mc_rows = np.empty((4, _MC_SAMPLES))
+    _, _, montecarlo = _montecarlo_cos_theta(_MC_SAMPLES, seed, mc_rows[0])
     paper, physical = [], []
-    for cos_t, reduce in ((np.cos(theta), quadrature), (cos_theta, montecarlo)):
-        val, trace = _polar_fidelity_and_trace(resource, factors.b, 0.5 * (1.0 + cos_t))
-        paper.append(reduce(val))
-        physical.append(reduce(_normalized(val, trace)) if isinstance(resource, PurePair) else paper[-1])
+    for rows, reduce in ((quad_rows, quadrature), (mc_rows, montecarlo)):
+        u = rows[0]  # cos(theta) until the next two lines make it u
+        u += 1.0
+        u *= 0.5
+        val, trace = _polar_fidelity_and_trace(resource, factors.b, u, *rows[1:])
+        # u and the first work row are spent: the deviations and the physical value go there
+        paper.append(reduce(val, u))
+        physical.append(reduce(_normalized(val, trace, rows[1]), u)
+                        if isinstance(resource, PurePair) else paper[-1])
     return {"paper": tuple(paper), "physical": tuple(physical)}
 
 

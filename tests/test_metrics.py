@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -377,6 +379,108 @@ def test_run_report_evaluates_each_point_set_once(monkeypatch, resource, normali
     assert sorted(sizes["_polar_fidelity_and_trace"]) == [64, 100_000]
     assert sizes["_fidelity_and_trace"] == []
     assert sorted(sizes["_normalized"]) == normalized
+
+
+def _expression_polar(resource, b, u):
+    # the polar table as whole-array expressions, a fresh temporary per step:
+    # the reference the in-place evaluation must match bit for bit
+    v = 1.0 - u
+    re_b = complex(b).real
+    if isinstance(resource, PurePair):
+        mu2, lam2, c = resource.mu**2, resource.lam**2, resource.concurrence
+        return 2.0 * (lam2 * u * u + mu2 * v * v + c * u * v * re_b), 2.0 * (mu2 * v + lam2 * u)
+    p = resource.p
+    return 0.5 + 0.5 * p * (2.0 * u - 1.0) ** 2 + 2.0 * p * re_b * u * v, 1.0
+
+
+def _expression_normalized(val, trace):
+    return np.where(trace > 0.0, val / np.where(trace > 0.0, trace, 1.0), np.nan)
+
+
+def _expression_averages(resource, b, seed):
+    theta, quadrature = metrics._quadrature_theta()
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, metrics._MC_SAMPLES)
+
+    def montecarlo(vals):
+        stderr = np.std(vals, ddof=1) / np.sqrt(vals.size)
+        return metrics.NumericAverage(value=float(np.mean(vals)), stderr=float(stderr))
+
+    paper, physical = [], []
+    for cos_t, reduce in ((np.cos(theta), quadrature), (draws, montecarlo)):
+        val, trace = _expression_polar(resource, b, 0.5 * (1.0 + cos_t))
+        paper.append(reduce(val))
+        physical.append(reduce(_expression_normalized(val, trace)) if isinstance(resource, PurePair) else paper[-1])
+    return {"paper": tuple(paper), "physical": tuple(physical)}
+
+
+BIT_RESOURCES = [
+    PurePair.from_concurrence(0.0),
+    PurePair(1.0, 0.0),
+    PurePair.from_concurrence(0.3),
+    PurePair.from_concurrence(0.05),
+    PurePair(0.6, 0.8),
+    PurePair(0.8, 0.6),
+    PurePair.from_concurrence(1.0),
+    Werner(0.0),
+    Werner(0.45),
+    Werner(1.0),
+]
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, 0.93 + 0.2j, -0.4 + 0.7j])
+@pytest.mark.parametrize("resource", BIT_RESOURCES, ids=repr)
+def test_in_place_averages_keep_the_expression_bits(resource, b):
+    # every field of both conventions' quadrature and Monte-Carlo averages,
+    # exactly; Werner p = 0 has zero spread
+    seed = 1000 * BIT_RESOURCES.index(resource) + int(100 * abs(b))
+    got = metrics._numeric_averages(resource, factors_with_b(b), seed)
+    assert got == _expression_averages(resource, b, seed)
+
+
+@pytest.mark.parametrize("resource,empty", [(PurePair(0.0, 1.0), 0.0), (PurePair(1.0, 0.0), 1.0)], ids=repr)
+def test_in_place_physical_value_is_nan_where_the_trace_is_zero(resource, empty):
+    # mu = 0 leaves no weight at u = 0, lam = 0 none at u = 1
+    u = np.array([0.0, 1.0, 0.25, 0.5, 1.0, 0.0, 0.75])
+    rows = np.empty((4, u.size))
+    rows[0] = u
+    val, trace = metrics._polar_fidelity_and_trace(resource, 0.6 - 0.3j, rows[0], *rows[1:])
+    physical = metrics._normalized(val, trace, rows[1])
+    want_val, want_trace = _expression_polar(resource, 0.6 - 0.3j, u)
+    assert rows[0].tobytes() == u.tobytes()
+    assert val.tobytes() == want_val.tobytes()
+    assert trace.tobytes() == want_trace.tobytes()
+    assert physical.tobytes() == _expression_normalized(want_val, want_trace).tobytes()
+    assert np.array_equal(np.isnan(physical), u == empty)
+
+
+@pytest.mark.parametrize("seed", [0, 19, 2**32 - 1])
+def test_in_place_draws_leave_the_generator_as_uniform_does(seed):
+    # the same cos(theta) draws, and the same phi draws after them
+    want = np.random.default_rng(seed)
+    row = np.empty(metrics._MC_SAMPLES)
+    rng, cos_theta, _ = metrics._montecarlo_cos_theta(metrics._MC_SAMPLES, seed, row)
+    assert cos_theta is row
+    assert cos_theta.tobytes() == want.uniform(-1.0, 1.0, metrics._MC_SAMPLES).tobytes()
+    assert rng.uniform(0.0, TWO_PI, 1000).tobytes() == want.uniform(0.0, TWO_PI, 1000).tobytes()
+
+
+@pytest.mark.parametrize("resource", [PurePair(0.6, 0.8), Werner(0.8)], ids=repr)
+def test_numeric_averages_stay_within_four_rows(resource):
+    # four 100k float64 rows per call plus masks, not a fresh 800 kB temporary per step
+    fac = factors_with_b(0.93 + 0.2j)
+    metrics._numeric_averages(resource, fac, 5)  # numpy's lazy set-up and the cached nodes
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        metrics._numeric_averages(resource, fac, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 4 * metrics._MC_SAMPLES * 8 + 256 * 1024
 
 
 # ---------------------------------------------------------------- concurrence
