@@ -1,51 +1,59 @@
 """Teleportation fidelity, Wootters concurrence, and CHSH nonlocality.
 
 The pointwise fidelity is the overlap of the unknown input with the corrected
-receiver state.  Averaged uniformly over the input Bloch sphere, the retained-
-branch fidelity is affine in Re b, F = f0 + slope * Re b, and
-``average_fts_affine`` is the one place that knows the coefficients:
+receiver state.  Both resources are X-states (``protocol``), so every closed
+form below reads a resource through its five numbers (r00, r11, r22, r33, z)
+alone, never through its type.  With
 
-    resource, convention     f0            slope
-    pure, paper              2/3           C/3
-    pure, physical           1 - J(q)      C * J(q)
-    Werner, either           1/2 + p/6     p/3
+    s = r11 + r22,   A = r22 + r33,   B = r00 + r11,   q = |A - B|,
 
-with C = 2 mu lam the pure pair's concurrence and q = |lam^2 - mu^2|.  Every
-slope is >= 0, the premise of ``optimizer``.
+u = cos^2(theta/2) and v = 1 - u, the retained branch's paper-convention
+value and its trace depend on u alone, never on phi:
 
-The retained branch's pointwise value depends only on u = cos^2(theta/2),
-which is uniform over the sphere, never on phi.  With v = 1 - u, the paper-
-convention value and the branch trace are
+    paper value   2 (r33 u^2 + r00 v^2 + s u v + 2z u v Re b)
+    trace         2 (A u + B v)
 
-    resource   paper value                              trace
-    pure       2 lam^2 u^2 + 2 mu^2 v^2 + 2C u v Re b   2 mu^2 v + 2 lam^2 u
-    Werner     1/2 + p (2u - 1)^2 / 2 + 2p u v Re b     1
+and the physical value is their ratio.  u is uniform over the sphere, and
+averaged over it the retained-branch fidelity is affine in Re b,
+F = f0 + slope * Re b.  ``average_fts_affine`` is the one place that knows
+the coefficients:
 
-and the physical value is their ratio.  Averaged over u in [0, 1] they give
-the table above.  A run takes its quadrature and Monte-Carlo cross-checks from
-this polar form (``_polar_fidelity_and_trace``) on the 64 Gauss-Legendre theta
-nodes and on the seeded cos(theta) draws, each evaluated once for both
-conventions, so for a Werner resource both conventions report the same
-numeric averages by construction.  Each point set runs in at most four rows
-allocated once per call, draws included, every step in place: a fresh 800 kB
-temporary per step came back as page faults on every call, once the heap had
-returned the freed pages to the system.  The (theta, phi) functions built
-from the branch elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
+    convention   f0                        slope
+    paper        (2 - s)/3                 2z/3
+    physical     1 - (1 - 2s) J(q) - s     2z J(q)
+
+A pure pair mu|up,up> + lam|down,down> has s = 0, q = |lam^2 - mu^2| and
+2z = C = 2 mu lam, its concurrence; a Werner state has s = (1 - p)/2, q = 0
+and 2z = p, so its pair is (1/2 + p/6, p/3) in both conventions.  The
+physical row is exact where s q = 0, which covers both.  There, if q = 0,
+the trace is 1 and the two conventions coincide; if s = 0, the ratio is
+
+    1 - u v (1 - 2z Re b) / (B + (A - B) u),
+
+which integrates to the physical row with
+
+    J(q) = [q - (1 - q^2) artanh(q)] / (2 q^3) = sum_k>=1 q^(2k-2) / (4k^2 - 1)
+
+with J(0) = 1/3 (the paper value) and J(1) = 1/2.  The direct form cancels
+as q -> 0, so small q takes the series.  Every slope is >= 0, the premise of
+``optimizer``.
+
+A run takes its quadrature and Monte-Carlo cross-checks from this polar form
+(``_polar_fidelity_and_trace``) on the 64 Gauss-Legendre theta nodes and on
+the seeded cos(theta) draws, each evaluated once for both conventions.  A
+Werner trace is exactly 1.0 there, so its physical averages equal its paper
+ones bit for bit.  Each point set runs in at most four rows allocated once
+per call, draws included, every step in place: a fresh 800 kB temporary per
+step came back as page faults on every call, once the heap had returned the
+freed pages to the system.  The (theta, phi) functions built from the branch
+elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
 ``average_fts_numeric``) are kept as its oracles; no command calls them.
 The closed-form averages are plain ``math``; the numeric averages, the
 oracles and the eigen-solver criteria below import numpy on first use.
 
 For a non-maximal pure resource the trace-4p bookkeeping makes the pointwise
 value exceed one near the poles; the physical (unit-trace, retention-
-conditioned) convention stays within [0, 1] and is exposed alongside.  It
-coincides with the paper's for Werner and balanced pure resources.  For a pure
-resource the ratio is 1 - u(1-u)(1 - C Re b) / (mu^2 + (lam^2 - mu^2) u),
-which integrates to the physical row above with
-
-    J(q) = [q - (1 - q^2) artanh(q)] / (2 q^3) = sum_k>=1 q^(2k-2) / (4k^2 - 1)
-
-with J(0) = 1/3 (the paper value) and J(1) = 1/2.  The direct form cancels
-as q -> 0, so small q takes the series.
+conditioned) convention stays within [0, 1] and is exposed alongside.
 
 Concurrence goes through the Hermitian form sqrt(rho) * rho_tilde * sqrt(rho)
 (same spectrum as rho * rho_tilde, numerically stabler), and nonlocality uses
@@ -61,7 +69,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from .noisekernel import DecoherenceFactors, _gauss_legendre
-from .protocol import PurePair, ResourceSpec, Werner, _branch_elements
+from .protocol import ResourceSpec, _branch_elements, _x_state
 
 if TYPE_CHECKING:
     import numpy as np
@@ -91,17 +99,19 @@ class NumericAverage:
 
 
 def average_fts_affine(resource: ResourceSpec, convention: str = "paper") -> Tuple[float, float]:
-    """``(f0, slope)`` with Bloch-averaged fidelity f0 + slope * Re b (table in the module docstring)."""
+    """``(f0, slope)`` with Bloch-averaged fidelity f0 + slope * Re b (table in the module docstring).
+
+    The physical pair is exact where s q = 0: pure pairs have s = 0 and Werner
+    states q = 0.  Where q = 0 both conventions return the paper pair, which
+    the physical row equals there (J(0) = 1/3), to the bit.
+    """
     if convention not in ("paper", "physical"):
         raise ValueError(f"unknown convention {convention!r}")
-    if isinstance(resource, Werner):
-        return 0.5 + resource.p / 6.0, resource.p / 3.0
-    if not isinstance(resource, PurePair):
-        raise TypeError(f"unknown resource spec {resource!r}")
-    c = resource.concurrence
-    if convention == "paper":
-        return 2.0 / 3.0, c / 3.0
-    q = abs(resource.lam**2 - resource.mu**2)
+    r00, r11, r22, r33, z = _x_state(resource)
+    s = r11 + r22
+    q = abs((r22 + r33) - (r00 + r11))
+    if convention == "paper" or q == 0.0:
+        return (2.0 - s) / 3.0, 2.0 * z / 3.0
     if q >= 1.0:
         j = 0.5
     elif q < 0.2:
@@ -109,7 +119,7 @@ def average_fts_affine(resource: ResourceSpec, convention: str = "paper") -> Tup
         j = sum(q ** (2 * k - 2) / (4 * k * k - 1) for k in range(11, 0, -1))
     else:
         j = (q - (1.0 - q * q) * math.atanh(q)) / (2.0 * q**3)
-    return 1.0 - j, c * j
+    return 1.0 - (1.0 - 2.0 * s) * j - s, 2.0 * z * j
 
 
 def average_fts_analytic(resource: ResourceSpec, b: complex, convention: str = "paper") -> float:
@@ -165,11 +175,8 @@ def bloch_fidelity_fn(
     """
     if convention not in ("paper", "physical"):
         raise ValueError(f"unknown convention {convention!r}")
-    if not isinstance(resource, (PurePair, Werner)):
-        raise TypeError(f"unknown resource spec {resource!r}")
     b = factors.b
-    # Werner branch states already have unit trace
-    normalize = convention == "physical" and isinstance(resource, PurePair)
+    normalize = convention == "physical"
 
     def fn(theta, phi):
         val, trace = _fidelity_and_trace(resource, b, theta, phi)
@@ -265,49 +272,39 @@ def average_fts_numeric(
 
 def _polar_fidelity_and_trace(resource: ResourceSpec, b: complex, u, *work):
     """``_fidelity_and_trace`` as real functions of u = cos^2(theta/2) alone
-    (table in the module docstring).  A Werner trace is the constant 1.
+    (table in the module docstring).
 
     ``work`` is three rows shaped like u, fresh ones when not given.  The value
-    is returned in the second and a pure trace in the third; u is left as it
+    is returned in the second and the trace in the third; u is left as it
     was.  Each step runs in place, associated as the comments write it: the
-    averages' bits depend on that order.
+    averages' bits depend on that order.  The s u v term is folded in as
+    s/2 - (s/2)(u^2 + v^2), so a pure pair (s = 0) adds exact zeros.
     """
     import numpy as np
 
+    r00, r11, r22, r33, z = _x_state(resource)
+    half_s = 0.5 * (r11 + r22)
     v, val, tmp = work or np.empty((3,) + np.shape(u))
     re_b = complex(b).real
     np.subtract(1.0, u, out=v)
-    if isinstance(resource, PurePair):
-        mu2, lam2 = resource.mu**2, resource.lam**2
-        # value 2 ((lam2 u) u + (mu2 v) v + ((C u) v) Re b), trace 2 (mu2 v + lam2 u)
-        np.multiply(lam2, u, out=val)
-        val *= u
-        np.multiply(mu2, v, out=tmp)
-        tmp *= v
-        val += tmp
-        np.multiply(resource.concurrence, u, out=tmp)
-        tmp *= v
-        tmp *= re_b
-        val += tmp
-        val *= 2.0
-        np.multiply(mu2, v, out=tmp)
-        np.multiply(lam2, u, out=v)
-        tmp += v
-        tmp *= 2.0
-        return val, tmp
-    if isinstance(resource, Werner):
-        p = resource.p
-        # value 1/2 + (p/2) (2u - 1)^2 + ((2p Re b) u) v
-        np.multiply(2.0, u, out=val)
-        val -= 1.0
-        np.square(val, out=val)
-        val *= 0.5 * p
-        val += 0.5
-        np.multiply(2.0 * p * re_b, u, out=tmp)
-        tmp *= v
-        val += tmp
-        return val, 1.0
-    raise TypeError(f"unknown resource spec {resource!r}")
+    # value 2 (((r33 - s/2) u) u + ((r00 - s/2) v) v + ((2z u) v) Re b + s/2)
+    np.multiply(r33 - half_s, u, out=val)
+    val *= u
+    np.multiply(r00 - half_s, v, out=tmp)
+    tmp *= v
+    val += tmp
+    np.multiply(2.0 * z, u, out=tmp)
+    tmp *= v
+    tmp *= re_b
+    val += tmp
+    val += half_s
+    val *= 2.0
+    # trace 2 ((r00 + r11) v + (r22 + r33) u)
+    np.multiply(r00 + r11, v, out=tmp)
+    np.multiply(r22 + r33, u, out=v)
+    tmp += v
+    tmp *= 2.0
+    return val, tmp
 
 
 def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
@@ -319,8 +316,8 @@ def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
     exact) and the seeded cos(theta) draws, each evaluated once for both
     conventions.  Every average agrees with ``average_fts_numeric(
     bloch_fidelity_fn(resource, factors, convention), method, seed=seed)`` to
-    rounding.  Werner branch states have unit trace, so their physical averages
-    are the paper ones.  Each point set runs in its own four rows.
+    rounding.  A Werner trace is exactly 1.0 on every u, so its physical
+    averages are the paper ones.  Each point set runs in its own four rows.
     """
     import numpy as np
 
@@ -337,8 +334,7 @@ def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
         val, trace = _polar_fidelity_and_trace(resource, factors.b, u, *rows[1:])
         # u and the first work row are spent: the deviations and the physical value go there
         paper.append(reduce(val, u))
-        physical.append(reduce(_normalized(val, trace, rows[1]), u)
-                        if isinstance(resource, PurePair) else paper[-1])
+        physical.append(reduce(_normalized(val, trace, rows[1]), u))
     return {"paper": tuple(paper), "physical": tuple(physical)}
 
 

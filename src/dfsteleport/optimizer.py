@@ -6,13 +6,7 @@ for a fixed resource and receiver noise; the sender's own bath never enters
 it, and the objective evaluates only the receiver's factor
 b = exp(-i*w0*tau - H(tau)).  Every Bloch average is affine in Re b,
 F = f0 + slope * Re b, with one coefficient pair per resource and convention
-(``metrics.average_fts_affine``):
-
-    resource, convention     f0            slope
-    pure, paper              2/3           C/3
-    pure, physical           1 - J(q)      C * J(q)
-    Werner, either           1/2 + p/6     p/3
-
+(``metrics.average_fts_affine``, whose module docstring holds the table).
 Each sweep or maximization reads the pair once.  Every slope is >= 0, so the
 timing optima are the maxima of Re b = exp(-H)*cos(w0*tau), whatever the
 resource and convention.  Its derivative is -exp(-H)*h(tau) with

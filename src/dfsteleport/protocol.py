@@ -10,6 +10,13 @@ cost.  The three-qubit pipeline these states come from (``build_joint``, the
 factor matrices of ``channels``, a Bell projection) is kept as public support
 for the brute-force oracle of the tests.
 
+Both resources are two-qubit X-states with rho_12 = 0: their density matrix
+is nonzero only on the diagonal and the anti-diagonal, so each closed form reads
+a resource through five numbers alone, the populations r00, r11, r22, r33 and
+the coherence z = rho_03 (``x_state``).  The branch table is written once in
+them; ``resource_state`` builds the same matrix from the kets and the Bell
+projector instead, as the independent oracle.
+
 Two bookkeeping conventions coexist for the conditional receiver states.  The
 physical one normalizes each branch to unit trace and weights it by its exact
 Born probability.  The published closed forms instead quote every branch with
@@ -18,7 +25,8 @@ non-maximal pure resource); those matrices are kept verbatim in
 ``bob_paper_scaled``.  For a non-maximal pure resource the exact Born
 probability (|alpha*mu|^2 + |beta*lambda|^2)/2 differs from the flat one
 quarter per branch that the scaled convention suggests; both numbers are
-exposed rather than reconciled.
+exposed rather than reconciled.  A Werner branch's Born probability is that
+flat quarter, so its trace-4p state is the unit-trace one.
 
 The discard strategy keeps only the psi branches, whose conditional states are
 exactly independent of the sender's bath (the common-bath factor matrix is
@@ -48,6 +56,10 @@ if TYPE_CHECKING:
 DEGENERATE_PROB = 1e-14
 PROB_SUM_TOL = 1e-12
 
+# (r00, r11, r22, r33, z): the populations and the coherence rho_03 of a resource
+# whose density matrix is nonzero only on its diagonal and anti-diagonal, with rho_12 = 0
+XState = Tuple[float, float, float, float, float]
+
 
 @dataclass(frozen=True)
 class PurePair:
@@ -66,6 +78,10 @@ class PurePair:
     @property
     def concurrence(self) -> float:
         return 2.0 * self.mu * self.lam
+
+    @property
+    def x_state(self) -> XState:
+        return self.mu**2, 0.0, 0.0, self.lam**2, self.mu * self.lam
 
     @classmethod
     def from_concurrence(cls, c: float) -> "PurePair":
@@ -90,6 +106,12 @@ class Werner:
     def concurrence(self) -> float:
         return max(0.0, (3.0 * self.p - 1.0) / 2.0)
 
+    @property
+    def x_state(self) -> XState:
+        # written so that r00 + r11 and r22 + r33 are exactly 1/2
+        q = (1.0 - self.p) / 4.0
+        return 0.5 - q, q, q, 0.5 - q, self.p / 2.0
+
     @classmethod
     def from_concurrence(cls, c: float) -> "Werner":
         if not (0.0 <= c <= 1.0):
@@ -98,6 +120,13 @@ class Werner:
 
 
 ResourceSpec = Union[PurePair, Werner]
+
+
+def _x_state(resource: ResourceSpec) -> XState:
+    """The resource's ``x_state``; a TypeError for anything but a resource record."""
+    if not isinstance(resource, (PurePair, Werner)):
+        raise TypeError(f"unknown resource spec {resource!r}")
+    return resource.x_state
 
 
 class BellOutcome(enum.Enum):
@@ -340,22 +369,18 @@ def _branch_elements(resource: ResourceSpec, alpha, beta, coherence):
     factor b alone: the common bath leaves the up-down/down-up block the psi
     outcomes project onto untouched.  The phi-plus state is the same table
     with the amplitudes swapped and coherence a*b.  The minus outcomes negate
-    m01.  Pure resource: trace 4p; Werner resource: unit trace.
+    m01.  The trace is 4p for every resource; a Werner branch has trace 1
+    because its Born probability is a flat 1/4.
     """
     import numpy as np
 
-    if isinstance(resource, PurePair):
-        mu, lam = resource.mu, resource.lam
-        return (
-            2.0 * mu**2 * np.abs(beta) ** 2,
-            2.0 * lam**2 * np.abs(alpha) ** 2,
-            2.0 * mu * lam * np.conj(alpha) * beta * coherence,
-        )
-    if isinstance(resource, Werner):
-        p = resource.p
-        pop = 0.5 + 0.5 * p * (np.abs(alpha) ** 2 - np.abs(beta) ** 2)
-        return 1.0 - pop, pop, p * np.conj(alpha) * beta * coherence
-    raise TypeError(f"unknown resource spec {resource!r}")
+    r00, r11, r22, r33, z = _x_state(resource)
+    weight_up, weight_down = np.abs(alpha) ** 2, np.abs(beta) ** 2
+    return (
+        2.0 * (weight_up * r22 + weight_down * r00),
+        2.0 * (weight_up * r33 + weight_down * r11),
+        2.0 * z * np.conj(alpha) * beta * coherence,
+    )
 
 
 def _paper_scaled_elements(input_state: BlochAngles, resource: ResourceSpec, factors: DecoherenceFactors):
@@ -380,10 +405,10 @@ def analytic_branch_states(
 ) -> Dict[BellOutcome, DensityOp]:
     """Closed-form conditional receiver states for each Bell outcome.
 
-    Pure resource: the published trace-4p convention.  Werner resource: unit
-    trace (the flat quarter probability makes the two conventions coincide).
-    The states are PSD by construction for any valid factors (|a|, |b| <= 1),
-    so they are wrapped without an eigen-check.
+    The published trace-4p convention for every resource (a Werner branch's
+    flat quarter probability gives it unit trace).  The states are PSD by
+    construction for any valid factors (|a|, |b| <= 1), so they are wrapped
+    without an eigen-check.
     """
     import numpy as np
 
@@ -392,5 +417,5 @@ def analytic_branch_states(
     out: Dict[BellOutcome, DensityOp] = {}
     for outcome, sign, m00, m11, m01 in _paper_scaled_elements(input_state, resource, factors):
         m = np.array([[m00, sign * m01], [sign * m01.conjugate(), m11]])
-        out[outcome] = _unchecked(m, normalized=isinstance(resource, Werner))
+        out[outcome] = _unchecked(m, normalized=False)
     return out

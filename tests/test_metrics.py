@@ -141,8 +141,10 @@ def test_average_fts_input_domain_checks():
 def test_physical_average_coincides_with_paper_for_werner_and_balanced_pairs():
     fac = factors_at(NOISELESS, NoiseParams(0.1, 0.05), 5.0)
     for resource in (PurePair(SQRT_HALF, SQRT_HALF), Werner(0.7)):
+        # q = 0 for both: the physical pair is the paper pair, to the bit
+        assert average_fts_affine(resource, "physical") == average_fts_affine(resource, "paper")
         paper = average_fts_analytic(resource, fac.b, "paper")
-        assert average_fts_analytic(resource, fac.b, "physical") == pytest.approx(paper, abs=1e-15)
+        assert average_fts_analytic(resource, fac.b, "physical") == paper
         quad = average_fts_numeric(bloch_fidelity_fn(resource, fac, "physical"), "quadrature").value
         assert quad == pytest.approx(paper, abs=1e-10)
     # an unbalanced pure pair is where the two conventions part
@@ -356,12 +358,12 @@ def test_average_blocks_match_the_public_averager(resource, b):
 
 @pytest.mark.parametrize("resource,normalized", [
     ({"kind": "pure", "mu": 0.6, "lambda": 0.8}, [64, 100_000]),
-    ({"kind": "werner", "p": 0.8}, []),
+    ({"kind": "werner", "p": 0.8}, [64, 100_000]),
 ])
 def test_run_report_evaluates_each_point_set_once(monkeypatch, resource, normalized):
     # the theta nodes and the cos(theta) draws, once each and not once per
-    # convention, and never the (theta, phi) oracle; a Werner trace is one,
-    # so its physical averages reuse the paper ones
+    # convention, and never the (theta, phi) oracle; every resource's physical
+    # value is the ratio, a Werner one over a trace of exactly 1.0
     sizes = {"_polar_fidelity_and_trace": [], "_fidelity_and_trace": [], "_normalized": []}
 
     def counting(name):
@@ -382,8 +384,18 @@ def test_run_report_evaluates_each_point_set_once(monkeypatch, resource, normali
 
 
 def _expression_polar(resource, b, u):
-    # the polar table as whole-array expressions, a fresh temporary per step:
-    # the reference the in-place evaluation must match bit for bit
+    # the polar table as whole-array expressions in the five numbers, a fresh
+    # temporary per step: the reference the in-place evaluation must match bit for bit
+    r00, r11, r22, r33, z = resource.x_state
+    half_s = 0.5 * (r11 + r22)
+    v = 1.0 - u
+    re_b = complex(b).real
+    val = 2.0 * ((r33 - half_s) * u * u + (r00 - half_s) * v * v + 2.0 * z * u * v * re_b + half_s)
+    return val, 2.0 * ((r00 + r11) * v + (r22 + r33) * u)
+
+
+def _per_kind_polar(resource, b, u):
+    # the polar table written per resource kind, as before the five numbers
     v = 1.0 - u
     re_b = complex(b).real
     if isinstance(resource, PurePair):
@@ -409,7 +421,7 @@ def _expression_averages(resource, b, seed):
     for cos_t, reduce in ((np.cos(theta), quadrature), (draws, montecarlo)):
         val, trace = _expression_polar(resource, b, 0.5 * (1.0 + cos_t))
         paper.append(reduce(val))
-        physical.append(reduce(_expression_normalized(val, trace)) if isinstance(resource, PurePair) else paper[-1])
+        physical.append(reduce(_expression_normalized(val, trace)))
     return {"paper": tuple(paper), "physical": tuple(physical)}
 
 
@@ -435,6 +447,25 @@ def test_in_place_averages_keep_the_expression_bits(resource, b):
     seed = 1000 * BIT_RESOURCES.index(resource) + int(100 * abs(b))
     got = metrics._numeric_averages(resource, factors_with_b(b), seed)
     assert got == _expression_averages(resource, b, seed)
+
+
+@pytest.mark.parametrize("b", [0.0, 1.0, 0.93 + 0.2j, -0.4 + 0.7j])
+@pytest.mark.parametrize("resource", BIT_RESOURCES, ids=repr)
+def test_five_number_polar_form_matches_the_per_kind_form(resource, b):
+    # on the theta nodes and the cos(theta) draws of a run: a pure pair keeps
+    # every bit, a Werner value moves by rounding only and its trace is exactly 1
+    theta, _ = metrics._quadrature_theta()
+    draws = np.random.default_rng(7).uniform(-1.0, 1.0, metrics._MC_SAMPLES)
+    for cos_t in (np.cos(theta), draws):
+        u = 0.5 * (1.0 + cos_t)
+        val, trace = _expression_polar(resource, b, u)
+        want_val, want_trace = _per_kind_polar(resource, b, u)
+        if isinstance(resource, PurePair):
+            assert val.tobytes() == want_val.tobytes()
+            assert trace.tobytes() == want_trace.tobytes()
+        else:
+            np.testing.assert_allclose(val, want_val, rtol=0.0, atol=4.5e-16)
+            assert np.all(trace == 1.0)
 
 
 @pytest.mark.parametrize("resource,empty", [(PurePair(0.0, 1.0), 0.0), (PurePair(1.0, 0.0), 1.0)], ids=repr)

@@ -57,6 +57,33 @@ def test_werner_validation():
     assert Werner.from_concurrence(0.8).p == pytest.approx(2.6 / 3.0, rel=1e-14)
 
 
+def test_x_state_is_the_resource_state_entries():
+    # the five numbers every closed form reads, against the density matrix that
+    # resource_state builds from the kets and the Bell projector
+    rng = np.random.default_rng(39)
+    pairs = [random_pure_pair(rng) for _ in range(50)]
+    resources = [
+        PurePair(0.0, 1.0),
+        PurePair(1.0, 0.0),
+        *(Werner(p) for p in (0.0, 1.0 / 3.0, 1.0)),
+        *pairs,
+        *(PurePair(pair.lam, pair.mu) for pair in pairs),
+        *(random_werner(rng) for _ in range(100)),
+    ]
+    corners = np.eye(4, dtype=bool)
+    corners[0, 3] = corners[3, 0] = True
+    for resource in resources:
+        x = resource.x_state
+        r00, r11, r22, r33, z = x
+        mat = resource_state(resource).mat
+        want = [mat[0, 0], mat[1, 1], mat[2, 2], mat[3, 3], mat[0, 3]]
+        np.testing.assert_allclose(x, want, rtol=0.0, atol=1e-15)
+        assert mat[3, 0] == pytest.approx(z, rel=0.0, abs=1e-15)
+        assert np.all(mat[~corners] == 0.0)
+        # the premise of the physical pair: exact where s q = 0
+        assert r11 + r22 == 0.0 or (r22 + r33) - (r00 + r11) == 0.0
+
+
 def test_bell_kets_orthonormal():
     for i, a in enumerate(BELL_ORDER):
         for j, b in enumerate(BELL_ORDER):

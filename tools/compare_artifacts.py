@@ -4,13 +4,13 @@
 
 For each tree, every command runs in its own subprocess with
 PYTHONPATH=<tree>/src: tables 1-3, the eight figure panels, and ``sweep``,
-``optimize`` and ``run`` over a fixed list of 30 configs (pure and Werner
-resources, receivers at T = 0, at T = 1 and at omega0 = 75.25, both
-conventions, a run with an input and with ``"average"``).  Prints one line
-per artifact: ``identical``, or the largest absolute difference of each
-numeric JSON field or CSV column that moved (list indices folded into
-``[]``).  Exits 1 if any artifact differs in anything but its numbers (text,
-keys, lengths, exit code, stderr), else 0.
+``optimize`` and ``run`` over a fixed list of 48 configs (pure and Werner
+resources, the balanced pair and p = 0 and 1 among them, receivers at T = 0,
+at T = 1 and at omega0 = 75.25, both conventions, a run with an input and
+with ``"average"``).  Prints one line per artifact: ``identical``, or the
+largest absolute difference of each numeric JSON field or CSV column that
+moved (list indices folded into ``[]``).  Exits 1 if any artifact differs in
+anything but its numbers (text, keys, lengths, exit code, stderr), else 0.
 """
 
 from __future__ import annotations
@@ -32,6 +32,10 @@ RESOURCES = [
     ("pure-0.8-0.6", {"kind": "pure", "mu": 0.8, "lambda": 0.6}),
     ("werner-0.8", {"kind": "werner", "p": 0.8}),
     ("werner-0.4", {"kind": "werner", "p": 0.4}),
+    # appended, so the configs above keep their names and seeds
+    ("pure-c1.0", {"kind": "pure", "concurrence": 1.0}),
+    ("werner-0.0", {"kind": "werner", "p": 0.0}),
+    ("werner-1.0", {"kind": "werner", "p": 1.0}),
 ]
 RECEIVERS = [
     ("T0", {"gamma": 0.1, "lambda_c": 0.01, "temperature": 0.0}),
