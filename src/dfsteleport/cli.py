@@ -28,6 +28,8 @@ from .experiments import (
     to_csv,
     to_json,
 )
+from .metrics import CONVENTIONS
+from .protocol import Strategy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", help="path to a JSON experiment config")
             p.add_argument("--seed", type=int, help="override the config seed")
-            p.add_argument("--strategy", choices=["retain-psi", "retain-all"],
+            p.add_argument("--strategy", choices=[s.value for s in Strategy],
                            help="override the Bell-outcome retention strategy")
-            p.add_argument("--convention", choices=["paper", "physical"],
+            p.add_argument("--convention", choices=CONVENTIONS,
                            help="override the fidelity bookkeeping convention")
         p.add_argument("--out", help="output path (default: stdout)")
 

@@ -1,6 +1,12 @@
 """Experiment configurations, table/figure regeneration, and report assembly.
 
 Configs are single JSON documents with every numeric field in omega0 units.
+The keys of their objects (resource, noise baths, input angles) are listed
+once, in ``CONFIG_FIELDS``: ``_record`` builds each record from its object
+and ``_as_dict`` writes it back into the canonical config.  The top-level
+fields each have a rule of their own in ``parse_config``.  Every rejection is
+a ``ConfigError`` that names the JSON path of the bad field or object once.
+
 Regenerated tables carry the published reference values as constants next to
 the recomputed ones; a deviation column and a ``documented-deviation`` flag
 mark the rows whose printed values the computation cannot reproduce within
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 try:  # CPython's own SHA-256: hashlib would load OpenSSL (~3.4 MB resident, ~3 ms) for it
@@ -25,20 +31,15 @@ except ImportError:  # Python 3.12 renamed it _sha2; hashlib serves any build
     from hashlib import sha256
 
 from . import __version__
-from .metrics import _numeric_averages, average_fts_analytic
+from .metrics import CONVENTIONS, _numeric_averages, average_fts_analytic
 from .noisekernel import DecoherenceFactors, NoiseParams, factors_at, phase_integral, receiver_factor
 from .optimizer import TimingProblem, grid_points, maximize_timing, sweep
-from .protocol import (
-    PurePair,
-    ResourceSpec,
-    Strategy,
-    Werner,
-    run_with_factors,
-)
+from .protocol import PurePair, ResourceSpec, Strategy, Werner, run_with_factors
 from .bloch import BlochAngles
 
 TWO_PI = 2.0 * math.pi
 
+DEFAULT_RESOURCE = PurePair.from_concurrence(1.0)
 # sender-bath defaults; results the tool reports are invariant to them
 DEFAULT_ALICE = NoiseParams(gamma=0.1, lambda_c=0.1, temperature=0.0)
 DEFAULT_BOB = NoiseParams(gamma=0.1, lambda_c=0.01, temperature=0.0)
@@ -103,10 +104,18 @@ FIGURE_CONCURRENCE = 0.8
 FIGURE_TAU_MAX = 12.0 * math.pi
 FIGURE_POINTS = 1201
 
-_RESOURCE_FIELDS = {
-    "pure": ("kind", "concurrence", "mu", "lambda"),
-    "werner": ("kind", "concurrence", "p"),
+# The config format's objects: each record's JSON keys, in the order they are
+# checked, and the attribute each one sets.  A key is required unless its
+# attribute has a default in the record's class.  A resource object also takes
+# "kind", its RESOURCE_KINDS name, and "concurrence" in place of the record's keys.
+CONFIG_FIELDS = {
+    NoiseParams: {"gamma": "gamma", "lambda_c": "lambda_c", "temperature": "temperature", "omega0": "omega0"},
+    BlochAngles: {"theta": "theta", "phi": "phi"},
+    PurePair: {"mu": "mu", "lambda": "lam"},
+    Werner: {"p": "p"},
 }
+RESOURCE_KINDS = {PurePair: "pure", Werner: "werner"}
+_REQUIRED = {cls: {f.name for f in fields(cls) if f.default is MISSING} for cls in CONFIG_FIELDS}
 
 # most tau points one sweep or optimize job may evaluate
 MAX_TAU_POINTS = 100_000
@@ -132,14 +141,10 @@ class ExperimentConfig:
     @property
     def canonical(self) -> dict:
         """The fields as the JSON document whose hash every artifact embeds."""
-        if isinstance(self.resource, PurePair):
-            res = {"kind": "pure", "mu": self.resource.mu, "lambda": self.resource.lam}
-        else:
-            res = {"kind": "werner", "p": self.resource.p}
         out = {
-            "resource": res,
-            "alice_noise": _noise_dict(self.alice_noise),
-            "bob_noise": _noise_dict(self.bob_noise),
+            "resource": {"kind": RESOURCE_KINDS[type(self.resource)], **_as_dict(self.resource)},
+            "alice_noise": _as_dict(self.alice_noise),
+            "bob_noise": _as_dict(self.bob_noise),
             "strategy": self.strategy.value,
             "convention": self.convention,
             "seed": self.seed,
@@ -149,10 +154,7 @@ class ExperimentConfig:
             out["tau"] = self.tau
         if self.window is not None:
             out["window"] = list(self.window)
-        out["input"] = (
-            "average" if self.input_state is None
-            else {"theta": self.input_state.theta, "phi": self.input_state.phi}
-        )
+        out["input"] = "average" if self.input_state is None else _as_dict(self.input_state)
         return out
 
 
@@ -192,50 +194,46 @@ def _reject_unknown(obj: dict, known, context: str) -> None:
         raise ConfigError(f"{context}: unknown fields {sorted(unknown)}")
 
 
-def _require_number(obj: dict, key: str, context: str, default=None):
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(f"{context}: missing required field {key!r}")
-    return _finite_number(obj[key], f"{context}.{key}")
-
-
-def _parse_noise(obj, context: str, default: NoiseParams) -> NoiseParams:
-    if obj is None:
-        return default
+def _record(cls, obj, context: str):
+    """The record ``cls`` built from its config object ``obj`` through ``CONFIG_FIELDS``."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{context}: expected an object, got {obj!r}")
-    _reject_unknown(obj, ("gamma", "lambda_c", "temperature", "omega0"), context)
+    keys = CONFIG_FIELDS[cls]
+    _reject_unknown(obj, keys, context)
+    values = {}
+    for key, attr in keys.items():
+        if key in obj:
+            values[attr] = _finite_number(obj[key], f"{context}.{key}")
+        elif attr in _REQUIRED[cls]:
+            raise ConfigError(f"{context}: missing required field {key!r}")
     try:
-        return NoiseParams(
-            gamma=_require_number(obj, "gamma", context),
-            lambda_c=_require_number(obj, "lambda_c", context),
-            temperature=_require_number(obj, "temperature", context, default=0.0),
-            omega0=_require_number(obj, "omega0", context, default=1.0),
-        )
-    except ValueError as exc:
+        return cls(**values)
+    except ValueError as exc:  # the record's own range checks
         raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _as_dict(record) -> dict:
+    """A record written back as its config object, every key present."""
+    return {key: getattr(record, attr) for key, attr in CONFIG_FIELDS[type(record)].items()}
 
 
 def _parse_resource(obj, context: str = "resource") -> ResourceSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ConfigError(f"{context}: expected an object with a 'kind' field")
     kind = obj["kind"]
-    if kind not in ("pure", "werner"):
-        raise ConfigError(f"{context}.kind: expected 'pure' or 'werner', got {kind!r}")
-    _reject_unknown(obj, _RESOURCE_FIELDS[kind], context)
-    if "concurrence" in obj and len(obj) > 2:  # mu/lambda or p would be silently ignored
+    # by equality, not as a dict key: a JSON kind may be an unhashable list
+    cls = next((c for c, name in RESOURCE_KINDS.items() if name == kind), None)
+    if cls is None:
+        names = " or ".join(map(repr, RESOURCE_KINDS.values()))
+        raise ConfigError(f"{context}.kind: expected {names}, got {kind!r}")
+    if "concurrence" not in obj:
+        return _record(cls, {k: v for k, v in obj.items() if k != "kind"}, context)
+    _reject_unknown(obj, ("kind", "concurrence", *CONFIG_FIELDS[cls]), context)
+    if len(obj) > 2:  # the record's own fields would be silently ignored
         raise ConfigError(f"{context}: conflicting fields {sorted(set(obj) - {'kind'})}")
+    c = _finite_number(obj["concurrence"], f"{context}.concurrence")
     try:
-        if "concurrence" in obj:
-            cls = PurePair if kind == "pure" else Werner
-            return cls.from_concurrence(_require_number(obj, "concurrence", context))
-        if kind == "pure":
-            return PurePair(
-                mu=_require_number(obj, "mu", context),
-                lam=_require_number(obj, "lambda", context),
-            )
-        return Werner(p=_require_number(obj, "p", context))
+        return cls.from_concurrence(c)
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
@@ -247,13 +245,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _reject_unknown(doc, ("resource", "alice_noise", "bob_noise", "tau", "window",
                           "input", "strategy", "convention", "seed", "n_points"), "config")
 
-    resource = _parse_resource(doc.get("resource", {"kind": "pure", "concurrence": 1.0}))
-    alice = _parse_noise(doc.get("alice_noise"), "alice_noise", DEFAULT_ALICE)
-    bob = _parse_noise(doc.get("bob_noise"), "bob_noise", DEFAULT_BOB)
+    resource = _parse_resource(doc["resource"]) if "resource" in doc else DEFAULT_RESOURCE
+    alice, bob = doc.get("alice_noise"), doc.get("bob_noise")  # null is the default bath
+    alice = DEFAULT_ALICE if alice is None else _record(NoiseParams, alice, "alice_noise")
+    bob = DEFAULT_BOB if bob is None else _record(NoiseParams, bob, "bob_noise")
 
     tau = None
     if "tau" in doc:
-        tau = _require_number(doc, "tau", "config")
+        tau = _finite_number(doc["tau"], "config.tau")
         if tau < 0.0:
             raise ConfigError(f"tau: must be >= 0, got {tau!r}")
     window = None
@@ -266,31 +265,21 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ConfigError(f"window: must satisfy 0 <= lo < hi, got {w!r}")
         window = (lo, hi)
 
-    input_obj = doc.get("input", {"theta": math.pi / 2.0, "phi": 0.0})
-    input_state: Optional[BlochAngles]
-    if input_obj == "average":
-        input_state = None
-    elif isinstance(input_obj, dict):
-        _reject_unknown(input_obj, ("theta", "phi"), "input")
-        try:
-            input_state = BlochAngles(
-                theta=_require_number(input_obj, "theta", "input"),
-                phi=_require_number(input_obj, "phi", "input", default=0.0),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"input: {exc}") from exc
-    else:
+    input_obj = doc.get("input", {"theta": math.pi / 2.0})
+    if not (input_obj == "average" or isinstance(input_obj, dict)):
         raise ConfigError(f"input: expected angles object or 'average', got {input_obj!r}")
+    input_state = None if input_obj == "average" else _record(BlochAngles, input_obj, "input")
 
     strategy_name = doc.get("strategy", "retain-psi")
     try:
         strategy = Strategy(strategy_name)
     except ValueError:
-        raise ConfigError(f"strategy: expected 'retain-psi' or 'retain-all', got {strategy_name!r}")
+        names = " or ".join(repr(s.value) for s in Strategy)
+        raise ConfigError(f"strategy: expected {names}, got {strategy_name!r}")
 
     convention = doc.get("convention", "paper")
-    if convention not in ("paper", "physical"):
-        raise ConfigError(f"convention: expected 'paper' or 'physical', got {convention!r}")
+    if convention not in CONVENTIONS:
+        raise ConfigError(f"convention: expected {' or '.join(map(repr, CONVENTIONS))}, got {convention!r}")
 
     seed = doc.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -312,11 +301,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         seed=seed,
         n_points=n_points,
     )
-
-
-def _noise_dict(p: NoiseParams) -> dict:
-    return {"gamma": p.gamma, "lambda_c": p.lambda_c,
-            "temperature": p.temperature, "omega0": p.omega0}
 
 
 def config_hash(canonical: dict) -> str:
@@ -406,7 +390,7 @@ def _table_metadata(label: str, bob: NoiseParams, tau: float, extra: Dict[str, s
         "omega0_tau": _fmt(tau),
     }
     meta.update(extra)
-    canonical = {"table": label, "bob_noise": _noise_dict(bob), "tau": tau}
+    canonical = {"table": label, "bob_noise": _as_dict(bob), "tau": tau}
     meta["config_sha256"] = config_hash(canonical)
     return meta
 
@@ -445,7 +429,7 @@ def table_pure() -> ResultTable:
             f_val, f_printed, f_val - f_printed, _flag(f_val - f_printed, TOL_FID_PURE),
         ])
     meta = _table_metadata("1", bob, tau, {
-        "resource": "pure",
+        "resource": RESOURCE_KINDS[PurePair],
         "tolerance_b_max": _fmt(TOL_B_MAX),
         "tolerance_avg_fidelity": _fmt(TOL_FID_PURE),
     })
@@ -486,7 +470,7 @@ def table_werner(which: int) -> ResultTable:
             "yes" if b_val > 2.0 else "no",
         ])
     meta = _table_metadata(str(which), bob, tau, {
-        "resource": "werner",
+        "resource": RESOURCE_KINDS[Werner],
         "tolerance_concurrence": _fmt(TOL_CONCURRENCE),
         "tolerance_b_max": _fmt(TOL_B_MAX),
         "tolerance_avg_fidelity": _fmt(TOL_FID_WERNER),
@@ -509,7 +493,7 @@ def figure_curve(which: int, panel: str) -> ResultTable:
     problem = TimingProblem(resource=resource, bob_noise=bob, window=(0.0, FIGURE_TAU_MAX))
     curve = sweep(problem, FIGURE_POINTS)
     meta = _table_metadata(f"figure{which}{panel}", bob, FIGURE_TAU_MAX, {
-        "resource": "pure" if which == 2 else "werner",
+        "resource": RESOURCE_KINDS[type(resource)],
         "concurrence": _fmt(FIGURE_CONCURRENCE),
         "n_points": str(FIGURE_POINTS),
     })

@@ -78,6 +78,8 @@ if TYPE_CHECKING:
 
 PointwiseFn = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
+# the fidelity bookkeeping conventions: trace-4p branch states, or unit-trace ones
+CONVENTIONS = ("paper", "physical")
 _MIN_MC_SAMPLES = 1000
 _NODES = 64  # Gauss-Legendre nodes in theta and trapezoid nodes in phi
 _MC_SAMPLES = 100_000  # Monte-Carlo draws of a run and the averagers' default
@@ -105,7 +107,7 @@ def average_fts_affine(resource: ResourceSpec, convention: str = "paper") -> Tup
     states q = 0.  Where q = 0 both conventions return the paper pair, which
     the physical row equals there (J(0) = 1/3), to the bit.
     """
-    if convention not in ("paper", "physical"):
+    if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     r00, r11, r22, r33, z = _x_state(resource)
     s = r11 + r22
@@ -173,7 +175,7 @@ def bloch_fidelity_fn(
     closed forms), so it can serve as their oracle.  ``convention`` selects
     the trace-4p bookkeeping ("paper") or unit-trace states ("physical").
     """
-    if convention not in ("paper", "physical"):
+    if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     b = factors.b
     normalize = convention == "physical"

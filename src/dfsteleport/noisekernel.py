@@ -239,8 +239,8 @@ def decay_rate(params: NoiseParams, t: float, method: str = "closed") -> float:
         if max(x, params.lambda_c) > _SQRT_MAX:
             vacuum = 4.0 * params.gamma / (t + 1.0 / (params.lambda_c * x))  # 4*gamma/(t + 1/(L^2 t))
         else:
-            vacuum = 4.0 * params.gamma * params.lambda_c**2 * t / (1.0 + x**2)
-        return vacuum if params.temperature == 0.0 else vacuum + 4.0 * params.gamma * _thermal_sum(params, t)[1]
+            vacuum = 4.0 * (params.gamma * params.lambda_c**2) * t / (1.0 + x**2)
+        return vacuum if params.temperature == 0.0 else vacuum + 4.0 * (params.gamma * _thermal_sum(params, t)[1])
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     import numpy as np
@@ -274,8 +274,8 @@ def cumulative_decay(params: NoiseParams, tau: float, method: str = "closed") ->
         if x > _SQRT_MAX:  # ln(1 + x^2) = 2 ln(x) to double precision; L*tau itself may overflow
             vacuum = 4.0 * params.gamma * (math.log(params.lambda_c) + math.log(tau))
         else:
-            vacuum = 2.0 * params.gamma * math.log1p(x**2)
-        return vacuum if params.temperature == 0.0 else vacuum + 4.0 * params.gamma * _thermal_sum(params, tau)[0]
+            vacuum = 2.0 * (params.gamma * math.log1p(x**2))
+        return vacuum if params.temperature == 0.0 else vacuum + 4.0 * (params.gamma * _thermal_sum(params, tau)[0])
     if method != "quadrature":
         raise ValueError(f"unknown method {method!r}")
     import numpy as np
@@ -345,7 +345,8 @@ def factors_at(alice: NoiseParams, bob: NoiseParams, tau: float) -> DecoherenceF
     handled in the channel layer.
     """
     g_alice = cumulative_decay(alice, tau)
-    p_alice = phase_integral(alice, tau)
+    # reduced exactly, so that a huge bath phase does not swallow omega0*tau in the sum below
+    p_alice = math.fmod(phase_integral(alice, tau), math.tau)
     wa = alice.omega0 * tau
     return DecoherenceFactors(
         f=cmath.exp(complex(-g_alice, -wa + p_alice)),

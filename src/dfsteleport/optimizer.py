@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
-from .metrics import average_fts_affine
+from .metrics import CONVENTIONS, average_fts_affine
 from .noisekernel import NoiseParams, decay_rate, receiver_factor
 from .protocol import ResourceSpec
 
@@ -55,7 +55,7 @@ class TimingProblem:
         lo, hi = self.window
         if not (0.0 <= lo < hi):
             raise ValueError(f"window must satisfy 0 <= lo < hi, got {self.window!r}")
-        if self.convention not in ("paper", "physical"):
+        if self.convention not in CONVENTIONS:
             raise ValueError(f"unknown convention {self.convention!r}")
 
 

@@ -1,14 +1,18 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfsteleport import cli, experiments, optimizer
+from dfsteleport.bloch import BlochAngles
 from dfsteleport.experiments import (
     ConfigError,
     DEVIATION_FLAG,
@@ -24,7 +28,8 @@ from dfsteleport.experiments import (
     to_csv,
 )
 from dfsteleport.metrics import chsh, concurrence
-from dfsteleport.protocol import PurePair, Werner, resource_state
+from dfsteleport.noisekernel import NoiseParams
+from dfsteleport.protocol import PurePair, Strategy, Werner, resource_state
 
 TWO_PI = 2.0 * np.pi
 
@@ -596,3 +601,83 @@ def test_cli_json_embeds_version(tmp_path):
     report = json.loads(out.read_text())
     assert report["tool"] == "dfsteleport"
     assert report["version"]
+
+
+# ---------------------------------------------------------------- config fuzz
+
+# near misses of a config value: wrong types, null, NaN and magnitudes from
+# the smallest subnormal to the largest float, of either sign
+MAGNITUDES = st.sampled_from([0.0, 5e-324, 1e-300, 1e-160, 0.1, 1.0, 1e150, 1e300, 1.7e308])
+POSITIVE = MAGNITUDES.filter(bool)
+NEAR_MISSES = MAGNITUDES | MAGNITUDES.map(lambda x: -x) | st.sampled_from(["x", [], {}, True, None, math.nan])
+UNIT = st.floats(0.0, 1.0)
+
+
+def _broken(objects, keys, max_size=1):
+    """Objects as drawn, or with up to ``max_size`` of ``keys`` dropped, and
+    as many of them, or an unknown key, given a near miss."""
+    keys = sorted(keys)
+
+    def apply(obj, dropped, misses):
+        for key in dropped:
+            obj.pop(key, None)
+        obj.update(misses)
+        return obj
+
+    return objects | st.builds(apply, objects, st.sets(st.sampled_from(keys), max_size=max_size),
+                               st.dictionaries(st.sampled_from(keys + ["surprise"]), NEAR_MISSES, max_size=max_size))
+
+
+def _config_object(cls, records):
+    """Records written back through the config table, perhaps broken."""
+    return _broken(records.map(experiments._as_dict), experiments.CONFIG_FIELDS[cls])
+
+
+RESOURCES = st.builds(PurePair.from_concurrence, UNIT) | st.builds(Werner, UNIT)
+NOISE_OBJECTS = _config_object(NoiseParams, st.builds(
+    NoiseParams, gamma=st.floats(0.0, 0.5) | MAGNITUDES, lambda_c=st.floats(0.005, 5.0) | POSITIVE,
+    temperature=st.sampled_from([0.0, 0.5]) | MAGNITUDES, omega0=st.floats(0.5, 2.0) | POSITIVE))
+FUZZ_FIELDS = {
+    "resource": _broken(
+        RESOURCES.map(lambda r: {"kind": experiments.RESOURCE_KINDS[type(r)], **experiments._as_dict(r)})
+        | RESOURCES.map(lambda r: {"kind": experiments.RESOURCE_KINDS[type(r)], "concurrence": r.concurrence}),
+        {"kind", "concurrence"}.union(*(experiments.CONFIG_FIELDS[cls] for cls in experiments.RESOURCE_KINDS))),
+    "alice_noise": NOISE_OBJECTS,
+    "bob_noise": NOISE_OBJECTS,
+    "tau": st.floats(0.0, 4.0 * math.pi) | MAGNITUDES,
+    "window": st.tuples(st.floats(0.0, TWO_PI), st.floats(0.1, 4.0 * math.pi)).map(
+        lambda w: [w[0], w[0] + w[1]]) | st.lists(NEAR_MISSES, min_size=2, max_size=2),
+    "input": st.just("average") | _config_object(BlochAngles, st.builds(BlochAngles, st.floats(0.0, math.pi))),
+    "strategy": st.sampled_from([s.value for s in Strategy]),
+    "convention": st.sampled_from(experiments.CONVENTIONS),
+    "seed": st.integers(0, 100),
+    "n_points": st.integers(2, 50),
+}
+FUZZ_DOCS = _broken(st.fixed_dictionaries(FUZZ_FIELDS), FUZZ_FIELDS, max_size=2)
+FUZZ_COMMANDS = ["run", "sweep", "optimize"]
+
+
+# a fixed set of documents, so the suite gives the same answer every run;
+# tools/fuzz_config.py draws new ones from the same strategies
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(command=st.sampled_from(FUZZ_COMMANDS), doc=FUZZ_DOCS)
+# a huge receiver coupling over a decay term that underflows to 0: a NaN decay
+@example(command="optimize", doc={"bob_noise": {"gamma": 1.7e308, "lambda_c": 1e-300}, "window": [12.5, 12.6]})
+@example(command="run", doc={"bob_noise": {"gamma": 1.7e308, "lambda_c": 1e-300}, "tau": 12.5})
+# a sender bath phase of ~3.2e145 that swallowed omega0 * tau
+@example(command="run", doc={"alice_noise": {"gamma": 1e-5, "lambda_c": 1e150}, "tau": 0.8})
+# messages that named the path twice
+@example(command="run", doc={"bob_noise": {"gamma": 0.1}, "tau": 1.0})
+@example(command="run", doc={"resource": {"kind": "pure", "mu": "x", "lambda": 0.8}, "tau": 1.0})
+def test_cli_answers_every_config_with_exit_0_or_a_config_error(tmp_path_factory, command, doc):
+    cfg_path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    cfg_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main([command, "--config", str(cfg_path), "--out", os.devnull])
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        path, _, rest = lines[0][len("config error: "):].partition(": ")
+        assert not rest.startswith(path), "the message names its path twice"

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 
@@ -284,6 +285,32 @@ def test_closed_form_never_overflows_into_nan(gamma, lambda_c, temperature, tau)
         assert all(not math.isnan(x) and x >= 0.0 for x in _thermal_sum(p, tau))
     b = receiver_factor(p, tau)
     assert math.isfinite(b.real) and math.isfinite(b.imag) and abs(b) <= 1.0
+
+
+EXTREMES = (0.0, 5e-324, 1e-300, 1e-160, 0.1, 1.0, 1e150, 1e300, 1.7e308)
+
+
+def test_closed_forms_are_never_nan_at_extreme_magnitudes():
+    # every combination, gamma up to the float maximum: gamma multiplies each
+    # decay term before the power of two does, so a term that underflows to 0
+    # gives 0 where (4*gamma) * 0 would be inf * 0 = NaN
+    for gamma, lambda_c, temperature, tau in itertools.product(EXTREMES, EXTREMES[1:], EXTREMES, EXTREMES):
+        p = NoiseParams(gamma, lambda_c, temperature)
+        assert not math.isnan(cumulative_decay(p, tau)), (p, tau)
+        assert not math.isnan(decay_rate(p, tau)), (p, tau)
+
+
+def test_factors_keep_omega0_tau_under_a_huge_sender_phase():
+    # P ~ 3.2e145 would absorb omega0*tau in -omega0*tau + P; reduced mod 2*pi it does not
+    alice = NoiseParams(gamma=1e-5, lambda_c=1e150)
+    tau = 0.8
+    fac = factors_at(alice, NoiseParams(0.1, 0.01), tau)
+    phase = math.fmod(phase_integral(alice, tau), 2.0 * math.pi)
+    assert cmath.phase(fac.f) == pytest.approx(cmath.phase(cmath.exp(1j * (phase - tau))), abs=1e-12)
+    assert cmath.phase(fac.g) == pytest.approx(cmath.phase(cmath.exp(1j * (phase + tau))), abs=1e-12)
+    # f g* a* is real and positive, as for any sender bath
+    prod = fac.f * fac.g.conjugate() * fac.a.conjugate()
+    assert prod.real > 0.0 and abs(prod.imag) <= 1e-12 * prod.real
 
 
 # -------------------------------------------------------------- phase integral

@@ -4,10 +4,10 @@
 
 For each tree, every command runs in its own subprocess with
 PYTHONPATH=<tree>/src: tables 1-3, the eight figure panels, and ``sweep``,
-``optimize`` and ``run`` over a fixed list of 48 configs (pure and Werner
+``optimize`` and ``run`` over a fixed list of 52 configs (pure and Werner
 resources, the balanced pair and p = 0 and 1 among them, receivers at T = 0,
 at T = 1 and at omega0 = 75.25, both conventions, a run with an input and
-with ``"average"``).  Prints one line per artifact: ``identical``, or the
+with ``"average"``, and a sender whose bath phase reaches 9.7-22 rad).  Prints one line per artifact: ``identical``, or the
 largest absolute difference of each numeric JSON field or CSV column that
 moved (list indices folded into ``[]``).  Exits 1 if any artifact differs in
 anything but its numbers (text, keys, lengths, exit code, stderr), else 0.
@@ -44,6 +44,8 @@ RECEIVERS = [
 ]
 # the run report holds both conventions, so each convention goes with one input kind
 CONVENTIONS = [("paper", {"theta": 1.0, "phi": 0.2}), ("physical", "average")]
+# a sender bath phase above 2*pi over the window (17.06 rad at the run's tau = 10)
+SENDER = ("alice-phase17", {"gamma": 0.5, "lambda_c": 1.0})
 
 
 def configs() -> list[tuple[str, dict]]:
@@ -56,6 +58,22 @@ def configs() -> list[tuple[str, dict]]:
             "resource": resource,
             "bob_noise": bob,
             "tau": TAU,
+            "window": [0.5 * TAU, 2.0 * TAU],
+            "n_points": 301,
+            "input": input_obj,
+            "convention": convention,
+            "seed": 10 + i,
+        }))
+    # appended, so the configs above keep their names and seeds
+    sender_name, alice = SENDER
+    for i, ((res_name, resource), (convention, input_obj)) in enumerate(
+            itertools.product([RESOURCES[1], RESOURCES[3]], CONVENTIONS), start=len(out)):
+        name = f"{i:02d}-{res_name}-{sender_name}-{convention}-{'average' if input_obj == 'average' else 'input'}"
+        out.append((name, {
+            "resource": resource,
+            "alice_noise": alice,
+            "bob_noise": RECEIVERS[0][1],
+            "tau": 10.0,
             "window": [0.5 * TAU, 2.0 * TAU],
             "n_points": 301,
             "input": input_obj,
