@@ -16,6 +16,8 @@ import sys
 from typing import Optional
 
 from .experiments import (
+    FIGURE_PANELS,
+    TABLES,
     ConfigError,
     ExperimentConfig,
     figure_curve,
@@ -23,8 +25,7 @@ from .experiments import (
     parse_config,
     run_report,
     sweep_table,
-    table_pure,
-    table_werner,
+    table,
     to_csv,
     to_json,
 )
@@ -103,12 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_run)
 
     p_table = sub.add_parser("table", help="regenerate a published reference table as CSV")
-    p_table.add_argument("which", type=int, choices=[1, 2, 3])
+    p_table.add_argument("which", type=int, choices=list(TABLES))
     add_common(p_table, needs_config=False)
 
     p_fig = sub.add_parser("figure", help="regenerate a published figure curve as CSV")
-    p_fig.add_argument("which", type=int, choices=[2, 3])
-    p_fig.add_argument("--panel", choices=["a", "b", "c", "d"], default="a")
+    p_fig.add_argument("which", type=int, choices=sorted({which for which, _ in FIGURE_PANELS}))
+    p_fig.add_argument("--panel", choices=sorted({panel for _, panel in FIGURE_PANELS}), default="a")
     add_common(p_fig, needs_config=False)
 
     p_opt = sub.add_parser("optimize", help="maximize average fidelity over the timing window")
@@ -130,8 +131,7 @@ def main(argv=None) -> int:
             config = _load_config(args)
             _emit(to_json(run_report(config)), args.out)
         elif args.command == "table":
-            table = table_pure() if args.which == 1 else table_werner(args.which)
-            _emit(to_csv(table), args.out)
+            _emit(to_csv(table(args.which)), args.out)
         elif args.command == "figure":
             _emit(to_csv(figure_curve(args.which, args.panel)), args.out)
         elif args.command == "optimize":

@@ -7,11 +7,15 @@ and ``_as_dict`` writes it back into the canonical config.  The top-level
 fields each have a rule of their own in ``parse_config``.  Every rejection is
 a ``ConfigError`` that names the JSON path of the bad field or object once.
 
-Regenerated tables carry the published reference values as constants next to
-the recomputed ones; a deviation column and a ``documented-deviation`` flag
-mark the rows whose printed values the computation cannot reproduce within
-tolerance (the pure-resource table has two such fidelity rows and several
-nonlocality rows at low concurrence).
+The published tables are listed once, in ``TABLES``: each gives its row
+labels, the resource a label names, the receiver bath, the printed values and
+the checked quantities with their tolerances, and one builder, ``table``,
+writes all three.  Each checked quantity gets its computed value, the printed
+one, their deviation and a ``documented-deviation`` flag where the computation
+cannot reproduce the printed value within tolerance (the pure-resource table
+has two such fidelity rows and several nonlocality rows at low concurrence).
+C and B_max are the resource's X-state closed forms, so no table code reads
+the resource's type.
 
 Output assembly is deterministic: identical config and seed produce
 byte-identical CSV/JSON, and every artifact embeds the SHA-256 hash of the
@@ -23,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 try:  # CPython's own SHA-256: hashlib would load OpenSSL (~3.4 MB resident, ~3 ms) for it
     from _sha256 import sha256
@@ -36,8 +40,6 @@ from .noisekernel import DecoherenceFactors, NoiseParams, factors_at, phase_inte
 from .optimizer import TimingProblem, grid_points, maximize_timing, sweep
 from .protocol import PurePair, ResourceSpec, Strategy, Werner, run_with_factors
 from .bloch import BlochAngles
-
-TWO_PI = 2.0 * math.pi
 
 DEFAULT_RESOURCE = PurePair.from_concurrence(1.0)
 # sender-bath defaults; results the tool reports are invariant to them
@@ -54,8 +56,10 @@ TOL_FID_WERNER = 0.015
 FLAG_SLACK = 1e-9
 
 DEVIATION_FLAG = "documented-deviation"
+# the cells of a checked quantity, in the order _checked_cells writes them
+_CHECKED_CELLS = ("computed", "printed", "deviation", "flag")
 
-# published reference rows regenerated by cmd_table (keyed by the row label)
+# published reference rows, keyed by the row label
 TABLE1_PRINTED = {
     # concurrence: (b_max, fidelity)
     0.1: (1.56, 0.69),
@@ -85,8 +89,30 @@ TABLE3_PRINTED = {
     0.95: (0.93, 2.68, 0.98),
 }
 
-TABLE1_BOB = NoiseParams(gamma=0.1, lambda_c=0.01, temperature=0.0)
-WERNER_TABLE_BOB = NoiseParams(gamma=0.1, lambda_c=0.02, temperature=0.0)
+
+@dataclass(frozen=True)
+class TableSpec:
+    """One published table: its row-label column, the resource a label names, the
+    receiver bath at omega0*tau = 2*pi, the printed rows, and its columns in order.
+    A column with a tolerance is checked against the next printed value of its row;
+    one without is a single cell."""
+
+    label: str
+    resource: Callable[[float], ResourceSpec]
+    bob: NoiseParams
+    printed: Dict[float, Tuple[float, ...]]
+    columns: Tuple[Tuple[str, Optional[float]], ...]
+
+
+_WERNER_BOB = NoiseParams(gamma=0.1, lambda_c=0.02)
+_WERNER_COLUMNS = (("concurrence", TOL_CONCURRENCE), ("b_max", TOL_B_MAX), ("avg_fidelity", TOL_FID_WERNER),
+                   ("violates_chsh", None))
+TABLES = {
+    1: TableSpec("concurrence", PurePair.from_concurrence, NoiseParams(gamma=0.1, lambda_c=0.01), TABLE1_PRINTED,
+                 (("c_computed", None), ("b_max", TOL_B_MAX), ("avg_fidelity", TOL_FID_PURE))),
+    2: TableSpec("p", Werner, _WERNER_BOB, TABLE2_PRINTED, _WERNER_COLUMNS),
+    3: TableSpec("p", Werner, _WERNER_BOB, TABLE3_PRINTED, _WERNER_COLUMNS),
+}
 
 FIGURE_PANELS = {
     # (figure, panel) -> receiver cutoff; coupling 0.1 and concurrence 0.8 throughout
@@ -99,6 +125,7 @@ FIGURE_PANELS = {
     (3, "c"): 0.05,
     (3, "d"): 0.07,
 }
+FIGURE_RESOURCES = {2: PurePair, 3: Werner}
 FIGURE_GAMMA = 0.1
 FIGURE_CONCURRENCE = 0.8
 FIGURE_TAU_MAX = 12.0 * math.pi
@@ -252,7 +279,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     tau = None
     if "tau" in doc:
-        tau = _finite_number(doc["tau"], "config.tau")
+        tau = _finite_number(doc["tau"], "tau")
         if tau < 0.0:
             raise ConfigError(f"tau: must be >= 0, got {tau!r}")
     window = None
@@ -380,7 +407,8 @@ def _branch_dict(branch) -> dict:
     }
 
 
-def _table_metadata(label: str, bob: NoiseParams, tau: float, extra: Dict[str, str]) -> Dict[str, str]:
+def _table_metadata(label: str, bob: NoiseParams, tau: float, resource: ResourceSpec,
+                    extra: Dict[str, str]) -> Dict[str, str]:
     meta = {
         "tool": "dfsteleport",
         "version": __version__,
@@ -388,10 +416,10 @@ def _table_metadata(label: str, bob: NoiseParams, tau: float, extra: Dict[str, s
         "gamma": _fmt(bob.gamma),
         "lambda_c": _fmt(bob.lambda_c),
         "omega0_tau": _fmt(tau),
+        "resource": RESOURCE_KINDS[type(resource)],
+        **extra,
     }
-    meta.update(extra)
-    canonical = {"table": label, "bob_noise": _as_dict(bob), "tau": tau}
-    meta["config_sha256"] = config_hash(canonical)
+    meta["config_sha256"] = config_hash({"table": label, "bob_noise": _as_dict(bob), "tau": tau})
     return meta
 
 
@@ -403,78 +431,44 @@ def _flag(dev: float, tol: float) -> str:
     return DEVIATION_FLAG if abs(dev) > tol + FLAG_SLACK else ""
 
 
-def table_pure() -> ResultTable:
-    """Pure-resource fidelity/nonlocality table at the published working point.
+def _checked_cells(value: float, printed: float, tol: float) -> list:
+    """A checked quantity's computed, printed, deviation and flag cells."""
+    return [value, printed, value - printed, _flag(value - printed, tol)]
 
-    C = 2*mu*lam and the maximal CHSH value B_max = 2*sqrt(1 + C^2) are closed
-    forms; ``metrics.concurrence`` and ``metrics.chsh`` are their oracles.
+
+def _table_values(resource: ResourceSpec, b: complex) -> Dict[str, object]:
+    """Every table column's value for a resource and the receiver's factor b."""
+    c, b_max = resource.concurrence, resource.b_max
+    return {"concurrence": c, "c_computed": c, "b_max": b_max,
+            "avg_fidelity": float(average_fts_analytic(resource, b)),
+            "violates_chsh": "yes" if b_max > 2.0 else "no"}
+
+
+def table(which: int) -> ResultTable:
+    """Published table ``which`` of ``TABLES``, recomputed at its working point.
+
+    Each checked quantity gets its computed, printed, deviation and flag cells,
+    in the order of the printed values; C and B_max are the resource's X-state
+    closed forms, and ``metrics.concurrence`` and ``metrics.chsh`` their oracles.
     """
-    tau = TWO_PI
-    bob = TABLE1_BOB
-    b = receiver_factor(bob, tau)
-    headers = [
-        "concurrence", "c_computed",
-        "b_max_computed", "b_max_printed", "b_max_deviation", "b_max_flag",
-        "avg_fidelity_computed", "avg_fidelity_printed", "avg_fidelity_deviation", "avg_fidelity_flag",
-    ]
+    spec = TABLES.get(which)
+    if spec is None:
+        raise ConfigError(f"no table {which!r}; expected {' or '.join(map(str, TABLES))}")
+    b = receiver_factor(spec.bob, math.tau)
+    headers = [spec.label]
+    for name, tol in spec.columns:
+        headers += [name] if tol is None else [f"{name}_{cell}" for cell in _CHECKED_CELLS]
     rows = []
-    for c_target, (b_printed, f_printed) in TABLE1_PRINTED.items():
-        resource = PurePair.from_concurrence(c_target)
-        c_val = resource.concurrence
-        b_val = 2.0 * math.sqrt(1.0 + c_val**2)
-        f_val = float(average_fts_analytic(resource, b))
-        rows.append([
-            c_target, c_val,
-            b_val, b_printed, b_val - b_printed, _flag(b_val - b_printed, TOL_B_MAX),
-            f_val, f_printed, f_val - f_printed, _flag(f_val - f_printed, TOL_FID_PURE),
-        ])
-    meta = _table_metadata("1", bob, tau, {
-        "resource": RESOURCE_KINDS[PurePair],
-        "tolerance_b_max": _fmt(TOL_B_MAX),
-        "tolerance_avg_fidelity": _fmt(TOL_FID_PURE),
-    })
-    return ResultTable(headers=headers, rows=rows, metadata=meta)
-
-
-def table_werner(which: int) -> ResultTable:
-    """Werner-resource tables: 2 = Bell inequality satisfied, 3 = violated.
-
-    C = max(0, (3p - 1)/2) and B_max = 2*sqrt(2)*p are closed forms, and the
-    state violates the CHSH bound iff B_max > 2; ``metrics.concurrence`` and
-    ``metrics.chsh`` are their oracles.
-    """
-    printed = {2: TABLE2_PRINTED, 3: TABLE3_PRINTED}.get(which)
-    if printed is None:
-        raise ConfigError(f"no Werner table {which!r}; expected 2 or 3")
-    tau = TWO_PI
-    bob = WERNER_TABLE_BOB
-    b = receiver_factor(bob, tau)
-    headers = [
-        "p",
-        "concurrence_computed", "concurrence_printed", "concurrence_deviation", "concurrence_flag",
-        "b_max_computed", "b_max_printed", "b_max_deviation", "b_max_flag",
-        "avg_fidelity_computed", "avg_fidelity_printed", "avg_fidelity_deviation", "avg_fidelity_flag",
-        "violates_chsh",
-    ]
-    rows = []
-    for p, (c_printed, b_printed, f_printed) in printed.items():
-        resource = Werner(p)
-        c_val = resource.concurrence
-        b_val = 2.0 * math.sqrt(2.0) * p
-        f_val = float(average_fts_analytic(resource, b))
-        rows.append([
-            p,
-            c_val, c_printed, c_val - c_printed, _flag(c_val - c_printed, TOL_CONCURRENCE),
-            b_val, b_printed, b_val - b_printed, _flag(b_val - b_printed, TOL_B_MAX),
-            f_val, f_printed, f_val - f_printed, _flag(f_val - f_printed, TOL_FID_WERNER),
-            "yes" if b_val > 2.0 else "no",
-        ])
-    meta = _table_metadata(str(which), bob, tau, {
-        "resource": RESOURCE_KINDS[Werner],
-        "tolerance_concurrence": _fmt(TOL_CONCURRENCE),
-        "tolerance_b_max": _fmt(TOL_B_MAX),
-        "tolerance_avg_fidelity": _fmt(TOL_FID_WERNER),
-    })
+    for label, printed in spec.printed.items():
+        resource = spec.resource(label)
+        values = _table_values(resource, b)
+        refs = iter(printed)
+        row = [label]
+        for name, tol in spec.columns:
+            row += [values[name]] if tol is None else _checked_cells(values[name], next(refs), tol)
+        rows.append(row)
+    tolerances = {f"tolerance_{name}": _fmt(tol) for name, tol in spec.columns if tol is not None}
+    meta = _table_metadata(str(which), spec.bob, math.tau, resource, tolerances)
     return ResultTable(headers=headers, rows=rows, metadata=meta)
 
 
@@ -483,20 +477,12 @@ def figure_curve(which: int, panel: str) -> ResultTable:
     key = (which, panel)
     if key not in FIGURE_PANELS:
         raise ConfigError(f"no figure panel {which}{panel!r}")
-    lambda_c = FIGURE_PANELS[key]
-    bob = NoiseParams(gamma=FIGURE_GAMMA, lambda_c=lambda_c, temperature=0.0)
-    resource: ResourceSpec
-    if which == 2:
-        resource = PurePair.from_concurrence(FIGURE_CONCURRENCE)
-    else:
-        resource = Werner.from_concurrence(FIGURE_CONCURRENCE)
+    bob = NoiseParams(gamma=FIGURE_GAMMA, lambda_c=FIGURE_PANELS[key])
+    resource = FIGURE_RESOURCES[which].from_concurrence(FIGURE_CONCURRENCE)
     problem = TimingProblem(resource=resource, bob_noise=bob, window=(0.0, FIGURE_TAU_MAX))
     curve = sweep(problem, FIGURE_POINTS)
-    meta = _table_metadata(f"figure{which}{panel}", bob, FIGURE_TAU_MAX, {
-        "resource": RESOURCE_KINDS[type(resource)],
-        "concurrence": _fmt(FIGURE_CONCURRENCE),
-        "n_points": str(FIGURE_POINTS),
-    })
+    meta = _table_metadata(f"figure{which}{panel}", bob, FIGURE_TAU_MAX, resource,
+                           {"concurrence": _fmt(FIGURE_CONCURRENCE), "n_points": str(FIGURE_POINTS)})
     return ResultTable(headers=["omega0_tau", "avg_fidelity"], rows=curve, metadata=meta)
 
 

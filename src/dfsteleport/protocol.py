@@ -61,8 +61,26 @@ PROB_SUM_TOL = 1e-12
 XState = Tuple[float, float, float, float, float]
 
 
+class _XStateResource:
+    """Entanglement and nonlocality read from a resource's ``x_state`` alone (z real)."""
+
+    @property
+    def concurrence(self) -> float:
+        """Wootters' concurrence of the X-state, 2*max(0, |z| - sqrt(r11*r22))."""
+        r00, r11, r22, r33, z = self.x_state
+        return 2.0 * max(0.0, abs(z) - math.sqrt(r11 * r22))
+
+    @property
+    def b_max(self) -> float:
+        """Horodecki's maximal CHSH value 2*sqrt(sum of the two largest squares in
+        T = diag(2z, -2z, r00 - r11 - r22 + r33)); the state violates CHSH iff it exceeds 2."""
+        r00, r11, r22, r33, z = self.x_state
+        t = (2.0 * z) ** 2
+        return 2.0 * math.sqrt(t + max(t, (r00 - r11 - r22 + r33) ** 2))
+
+
 @dataclass(frozen=True)
-class PurePair:
+class PurePair(_XStateResource):
     """Pure entangled resource mu|up,up> + lam|down,down> with real mu, lam >= 0."""
 
     mu: float
@@ -74,10 +92,6 @@ class PurePair:
             raise ValueError(f"mu and lam must be in [0, 1], got {self.mu!r} and {self.lam!r}")
         if abs(self.mu**2 + self.lam**2 - 1.0) > 1e-12:
             raise ValueError(f"mu^2 + lam^2 = {self.mu ** 2 + self.lam ** 2!r}, expected 1")
-
-    @property
-    def concurrence(self) -> float:
-        return 2.0 * self.mu * self.lam
 
     @property
     def x_state(self) -> XState:
@@ -93,7 +107,7 @@ class PurePair:
 
 
 @dataclass(frozen=True)
-class Werner:
+class Werner(_XStateResource):
     """Werner-type resource p|phi+><phi+| + (1-p)/4 * I; entangled iff p > 1/3."""
 
     p: float
@@ -101,10 +115,6 @@ class Werner:
     def __post_init__(self):
         if not (0.0 <= self.p <= 1.0):
             raise ValueError(f"p must be in [0, 1], got {self.p!r}")
-
-    @property
-    def concurrence(self) -> float:
-        return max(0.0, (3.0 * self.p - 1.0) / 2.0)
 
     @property
     def x_state(self) -> XState:

@@ -11,15 +11,13 @@ import numpy as np
 
 from conftest import brute_force_run, random_bloch, random_pure_pair, random_werner
 
-from dfsteleport import cli
+from dfsteleport import cli, experiments
 from dfsteleport.experiments import (
     DEVIATION_FLAG,
     TABLE1_PRINTED,
     TABLE2_PRINTED,
     TABLE3_PRINTED,
     figure_curve,
-    table_pure,
-    table_werner,
 )
 from dfsteleport.metrics import (
     average_fts_analytic,
@@ -58,7 +56,7 @@ def _col(table, name):
 def test_criterion_01_werner_tables():
     failures = []
     start = time.perf_counter()
-    tables = {2: (table_werner(2), TABLE2_PRINTED), 3: (table_werner(3), TABLE3_PRINTED)}
+    tables = {2: (experiments.table(2), TABLE2_PRINTED), 3: (experiments.table(3), TABLE3_PRINTED)}
     elapsed = time.perf_counter() - start
     for which, (table, printed) in tables.items():
         for row in table.rows:
@@ -81,7 +79,7 @@ def test_criterion_01_werner_tables():
 def test_criterion_02_pure_table():
     failures = []
     start = time.perf_counter()
-    table = table_pure()
+    table = experiments.table(1)
     elapsed = time.perf_counter() - start
     matched = {0.1, 0.2, 0.3, 0.7, 0.8, 0.9, 1.0}
     flagged_f = {0.4, 0.5}

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -23,8 +24,6 @@ from dfsteleport.experiments import (
     parse_config,
     run_report,
     sweep_table,
-    table_pure,
-    table_werner,
     to_csv,
 )
 from dfsteleport.metrics import chsh, concurrence
@@ -169,7 +168,7 @@ def test_config_hash_stable_and_sensitive():
 
 
 def test_table_pure_rows_and_flags():
-    table = table_pure()
+    table = experiments.table(1)
     assert "config_sha256" in table.metadata
     f_flag = table.headers.index("avg_fidelity_flag")
     f_col = table.headers.index("avg_fidelity_computed")
@@ -193,12 +192,12 @@ def test_table_cells_match_the_eigen_solver_oracles():
     # for the same numbers.  The pure-state concurrence takes the square root
     # of a rank-1 state, whose rounding-level eigenvalues become ~sqrt(eps)
     # errors, so it agrees only to 1e-7; everything else to rounding
-    for row in table_pure().rows:
+    for row in experiments.table(1).rows:
         state = resource_state(PurePair.from_concurrence(row[0]))
         assert row[1] == pytest.approx(concurrence(state), abs=1e-7)
         assert row[2] == pytest.approx(chsh(state).b_max, abs=1e-12)
     for which in (2, 3):
-        table = table_werner(which)
+        table = experiments.table(which)
         col = {name: table.headers.index(name) for name in table.headers}
         for row in table.rows:
             state = resource_state(Werner(row[0]))
@@ -209,32 +208,32 @@ def test_table_cells_match_the_eigen_solver_oracles():
 
 
 def test_table_werner_values():
-    table2 = table_werner(2)
+    table2 = experiments.table(2)
     row = row_lookup(table2, 0, 0.69)
     headers = table2.headers
     assert row[headers.index("concurrence_computed")] == pytest.approx(0.535, abs=1e-9)
     assert row[headers.index("b_max_computed")] == pytest.approx(1.9516, abs=5e-4)
     assert row[headers.index("avg_fidelity_computed")] == pytest.approx(0.8443, abs=5e-4)
     assert row[headers.index("violates_chsh")] == "no"
-    table3 = table_werner(3)
+    table3 = experiments.table(3)
     row85 = row_lookup(table3, 0, 0.85)
     assert row85[table3.headers.index("b_max_computed")] == pytest.approx(2.404, abs=1e-3)
     assert row85[table3.headers.index("violates_chsh")] == "yes"
     with pytest.raises(ConfigError):
-        table_werner(4)
+        experiments.table(4)
 
 
 def test_flags_leave_a_deviation_at_its_tolerance_unflagged():
     # (3p - 1)/2 lies 0.005 = TOL_CONCURRENCE from its printed two decimals at
     # these rows; in binary the deviation lands on either side of the tolerance
     for which, p in ((2, 0.69), (3, 0.75), (3, 0.85), (3, 0.95)):
-        table = table_werner(which)
+        table = experiments.table(which)
         row = row_lookup(table, 0, p)
         assert abs(row[table.headers.index("concurrence_deviation")]) == pytest.approx(TOL_CONCURRENCE, abs=1e-12)
         assert row[table.headers.index("concurrence_flag")] == ""
     for which in (2, 3):
-        assert DEVIATION_FLAG not in {cell for row in table_werner(which).rows for cell in row}
-    table = table_pure()
+        assert DEVIATION_FLAG not in {cell for row in experiments.table(which).rows for cell in row}
+    table = experiments.table(1)
     flagged = {
         name: [row[0] for row in table.rows if row[table.headers.index(f"{name}_flag")] == DEVIATION_FLAG]
         for name in ("b_max", "avg_fidelity")
@@ -245,7 +244,7 @@ def test_flags_leave_a_deviation_at_its_tolerance_unflagged():
 
 
 def test_table_csv_is_rectangular_and_finite():
-    for table in (table_pure(), table_werner(2), table_werner(3)):
+    for table in map(experiments.table, experiments.TABLES):
         text = to_csv(table)
         lines = [l for l in text.splitlines() if not l.startswith("#")]
         width = len(lines[0].split(","))
@@ -655,6 +654,21 @@ FUZZ_FIELDS = {
 }
 FUZZ_DOCS = _broken(st.fixed_dictionaries(FUZZ_FIELDS), FUZZ_FIELDS, max_size=2)
 FUZZ_COMMANDS = ["run", "sweep", "optimize"]
+# a JSON path as messages name it: "config" (the root), "tau", "window[0]", "alice_noise.lambda_c"
+BARE_PATH = re.compile(r"[a-z_]+(?:\.[a-z_]+|\[\d+\])*")
+
+
+def _in_document(doc, path: str) -> bool:
+    """Whether ``path`` names the document's root or a value present in it."""
+    if path == "config":
+        return True
+    node = doc
+    for key, index in re.findall(r"([a-z_]+)|\[(\d+)\]", path):
+        try:
+            node = node[int(index)] if index else node[key]
+        except (KeyError, IndexError, TypeError):
+            return False
+    return True
 
 
 # a fixed set of documents, so the suite gives the same answer every run;
@@ -669,6 +683,8 @@ FUZZ_COMMANDS = ["run", "sweep", "optimize"]
 # messages that named the path twice
 @example(command="run", doc={"bob_noise": {"gamma": 0.1}, "tau": 1.0})
 @example(command="run", doc={"resource": {"kind": "pure", "mu": "x", "lambda": 0.8}, "tau": 1.0})
+# a message that named a path absent from the document
+@example(command="run", doc={"tau": "x"})
 def test_cli_answers_every_config_with_exit_0_or_a_config_error(tmp_path_factory, command, doc):
     cfg_path = tmp_path_factory.getbasetemp() / "fuzz.json"
     cfg_path.write_text(json.dumps(doc))
@@ -681,3 +697,5 @@ def test_cli_answers_every_config_with_exit_0_or_a_config_error(tmp_path_factory
         assert len(lines) == 1 and lines[0].startswith("config error: ")
         path, _, rest = lines[0][len("config error: "):].partition(": ")
         assert not rest.startswith(path), "the message names its path twice"
+        if BARE_PATH.fullmatch(path):
+            assert _in_document(doc, path), f"the message names {path!r}, which the document lacks"

@@ -519,9 +519,13 @@ def test_numeric_averages_stay_within_four_rows(resource):
 
 def test_concurrence_pure_pair():
     # sqrt amplifies the spurious near-zero eigenvalues of a rank-1 state to
-    # sqrt(eps) scale, so the pure case is only accurate to ~1e-7
-    state = resource_state(PurePair(0.6, 0.8))
-    assert concurrence(state) == pytest.approx(0.96, abs=1e-7)
+    # sqrt(eps) scale, so the pure case is only accurate to ~1e-7; the
+    # program's X-state form is checked for mu < lam, mu > lam and C = 0
+    for pair, want in ((PurePair(0.6, 0.8), 0.96), (PurePair(0.8, 0.6), 0.96),
+                       (PurePair(0.0, 1.0), 0.0), (PurePair(1.0, 0.0), 0.0)):
+        state = resource_state(pair)
+        assert concurrence(state) == pytest.approx(want, abs=1e-7)
+        assert pair.concurrence == pytest.approx(concurrence(state), abs=1e-7)
 
 
 def test_concurrence_werner():
@@ -535,7 +539,9 @@ def test_concurrence_separable():
 def test_concurrence_werner_closed_form_grid():
     for p in np.linspace(0.0, 1.0, 21):
         want = max(0.0, (3.0 * p - 1.0) / 2.0)
-        assert concurrence(resource_state(Werner(p))) == pytest.approx(want, abs=1e-10)
+        # the eigen-solver oracle and the program's X-state closed form
+        for value in (concurrence(resource_state(Werner(p))), Werner(p).concurrence):
+            assert value == pytest.approx(want, abs=1e-10)
 
 
 def test_concurrence_local_unitary_invariance():
@@ -569,21 +575,27 @@ def test_chsh_bell_state():
 def test_chsh_werner_m_closed_form_grid():
     for p in np.linspace(0.0, 1.0, 21):
         rep = chsh(resource_state(Werner(p)))
-        assert rep.m_value == pytest.approx(2.0 * p * p, abs=1e-10)
-        assert rep.violates == (2.0 * p * p > 1.0)
         assert rep.b_max == pytest.approx(2.0 * np.sqrt(rep.m_value), abs=1e-12)
+        # the eigen-solver oracle and the program's X-state closed form
+        b_max = Werner(p).b_max
+        for m_value, violates in ((rep.m_value, rep.violates), ((b_max / 2.0) ** 2, b_max > 2.0)):
+            assert m_value == pytest.approx(2.0 * p * p, abs=1e-10)
+            assert violates == (2.0 * p * p > 1.0)
 
 
 def test_chsh_pure_pair_m_value():
     # brute-force correlation matrix gives 1 + C^2; the simple (mu+lam)^2
     # expression overshoots it strictly between the product and Bell points
-    for c in np.linspace(0.05, 1.0, 20):
+    for c in np.linspace(0.0, 1.0, 21):
         pair = PurePair.from_concurrence(c)
         rep = chsh(resource_state(pair))
         assert rep.m_value == pytest.approx(1.0 + c * c, abs=1e-10)
         mu_plus_lam_sq = (pair.mu + pair.lam) ** 2
-        if c < 1.0 - 1e-9:
+        if 0.0 < c < 1.0 - 1e-9:
             assert mu_plus_lam_sq > rep.m_value + 1e-6
+        # the program's X-state B_max, for mu <= lam and for the swapped pair
+        for resource in (pair, PurePair(pair.lam, pair.mu)):
+            assert resource.b_max == pytest.approx(chsh(resource_state(resource)).b_max, abs=1e-12)
 
 
 def test_chsh_local_unitary_invariance():

@@ -3,7 +3,8 @@
     python3 tools/compare_artifacts.py PARENT_DIR CHANGE_DIR
 
 For each tree, every command runs in its own subprocess with
-PYTHONPATH=<tree>/src: tables 1-3, the eight figure panels, and ``sweep``,
+PYTHONPATH=<tree>/src: tables 1-3, the eight figure panels, a table and a
+figure the CLI refuses (their exit code and usage text), and ``sweep``,
 ``optimize`` and ``run`` over a fixed list of 52 configs (pure and Werner
 resources, the balanced pair and p = 0 and 1 among them, receivers at T = 0,
 at T = 1 and at omega0 = 75.25, both conventions, a run with an input and
@@ -88,6 +89,8 @@ def jobs(config_dir: Path) -> list[tuple[str, list[str]]]:
     out = [(f"table-{which}", ["table", str(which)]) for which in (1, 2, 3)]
     out += [(f"figure-{which}{panel}", ["figure", str(which), "--panel", panel])
             for which in (2, 3) for panel in "abcd"]
+    # names the CLI refuses: exit code 2 and the usage text
+    out += [("table-4", ["table", "4"]), ("figure-4a", ["figure", "4", "--panel", "a"])]
     for name, doc in configs():
         path = config_dir / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
