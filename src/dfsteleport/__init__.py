@@ -9,17 +9,17 @@ teleportation fidelities, and optimizes the sender's measurement timing
 against the receiver's noise parameters.
 
 The package exports the simulator's names only.  The oracles that check it
-are imported from their own modules: the 8x8 brute-force pipeline
-(``channels``; ``protocol.build_joint``, ``resource_state`` and
-``analytic_branch_states``), Wootters concurrence and the CHSH criterion
-(``metrics.concurrence``, ``metrics.chsh``), the numeric Bloch averages
-(``metrics.bloch_fidelity_fn``, ``metrics.average_fts_numeric``) and the
-linear algebra behind them (``qlinalg``).
+are in ``reference``, which no command imports: the 8x8 brute-force run
+(``brute_force_run``, with ``build_joint``, ``resource_state`` and the factor
+matrices it evolves through), Wootters concurrence and the CHSH criterion
+(``concurrence``, ``chsh``) and the linear algebra behind them.  The numeric
+Bloch averages (``metrics.bloch_fidelity_fn``, ``metrics.average_fts_numeric``)
+and ``protocol.analytic_branch_states`` remain in their modules.
 
 Every command but ``run`` reads scalar closed forms only, so importing the
 package or its CLI loads no numpy.  The array states (``DensityOp``, the
-branch states of ``run_protocol``), ``run``'s numeric averages and the
-oracles import it on first use.
+branch states of ``run_protocol``) and ``run``'s numeric averages import it
+on first use; ``reference`` imports it at load.
 """
 
 __version__ = "0.1.0"

@@ -40,9 +40,3 @@ class BlochAngles:
     @property
     def beta(self) -> complex:
         return math.sin(self.theta / 2.0) * cmath.exp(1j * self.phi)
-
-    def ket(self):
-        """The state as a ``qlinalg.PureKet``."""
-        from .qlinalg import PureKet
-
-        return PureKet([self.alpha, self.beta])

@@ -367,7 +367,13 @@ def _average_blocks(resource: ResourceSpec, factors: DecoherenceFactors, seed: i
 
 
 def run_report(config: ExperimentConfig) -> dict:
-    """Full protocol-run report (JSON-ready dict)."""
+    """Full protocol-run report (JSON-ready dict).
+
+    ``average_fts`` is the Bloch average of the retained psi branch's
+    fidelity (``metrics``) under either strategy: a ``retain-all`` config
+    changes the per-branch data and ``classical_bits``, not that average,
+    which is not the keep-all protocol's four-branch average.
+    """
     if config.tau is None:
         raise ConfigError("run requires a 'tau' field")
     _check_phases(config.tau, config.alice_noise.omega0, config.bob_noise.omega0, "tau",
@@ -449,7 +455,8 @@ def table(which: int) -> ResultTable:
 
     Each checked quantity gets its computed, printed, deviation and flag cells,
     in the order of the printed values; C and B_max are the resource's X-state
-    closed forms, and ``metrics.concurrence`` and ``metrics.chsh`` their oracles.
+    closed forms, and ``reference.concurrence`` and ``reference.chsh`` their
+    eigen-solver oracles.
     """
     spec = TABLES.get(which)
     if spec is None:

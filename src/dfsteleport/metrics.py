@@ -1,4 +1,4 @@
-"""Teleportation fidelity, Wootters concurrence, and CHSH nonlocality.
+"""Teleportation fidelity: pointwise, Bloch-averaged in closed form, and numeric checks.
 
 The pointwise fidelity is the overlap of the unknown input with the corrected
 receiver state.  Both resources are X-states (``protocol``), so every closed
@@ -48,18 +48,20 @@ step came back as page faults on every call, once the heap had returned the
 freed pages to the system.  The (theta, phi) functions built from the branch
 elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
 ``average_fts_numeric``) are kept as its oracles; no command calls them.
-The closed-form averages are plain ``math``; the numeric averages, the
-oracles and the eigen-solver criteria below import numpy on first use.
+The closed-form averages are plain ``math``; the numeric averages and the
+oracles import numpy on first use.  The eigen-solver concurrence and CHSH
+criteria are in ``reference``.
 
 For a non-maximal pure resource the trace-4p bookkeeping makes the pointwise
 value exceed one near the poles; the physical (unit-trace, retention-
 conditioned) convention stays within [0, 1] and is exposed alongside.
 
-Concurrence goes through the Hermitian form sqrt(rho) * rho_tilde * sqrt(rho)
-(same spectrum as rho * rho_tilde, numerically stabler), and nonlocality uses
-the two largest eigenvalues of T^T T for the correlation matrix
-T_ij = Tr(rho sigma_i x sigma_j): the state violates the CHSH bound iff their
-sum exceeds one, with maximal violation 2*sqrt(sum).
+What each convention averages, over inputs uniform on the sphere: ``physical``
+is the mean of the kept state's fidelity (the ratio above); ``paper`` is the
+same fidelity with each input weighted by its branch trace, a success-
+weighted mean.  The weights need no normalization, because the trace's mean
+is 2 (A + B)/2 = A + B = 1.  Both average the retained psi branch under
+either strategy, not the keep-all protocol's four branches.
 """
 
 from __future__ import annotations
@@ -74,8 +76,6 @@ from .protocol import ResourceSpec, _branch_elements, _x_state
 if TYPE_CHECKING:
     import numpy as np
 
-    from .qlinalg import DensityOp
-
 PointwiseFn = Callable[["np.ndarray", "np.ndarray"], "np.ndarray"]
 
 # the fidelity bookkeeping conventions: trace-4p branch states, or unit-trace ones
@@ -83,14 +83,6 @@ CONVENTIONS = ("paper", "physical")
 _MIN_MC_SAMPLES = 1000
 _NODES = 64  # Gauss-Legendre nodes in theta and trapezoid nodes in phi
 _MC_SAMPLES = 100_000  # Monte-Carlo draws of a run and the averagers' default
-
-
-@dataclass(frozen=True)
-class NonlocalityReport:
-    t_matrix: np.ndarray
-    m_value: float
-    b_max: float
-    violates: bool
 
 
 @dataclass(frozen=True)
@@ -339,41 +331,3 @@ def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
         physical.append(reduce(_normalized(val, trace, rows[1]), u))
     return {"paper": tuple(paper), "physical": tuple(physical)}
 
-
-def concurrence(rho: DensityOp) -> float:
-    """Wootters concurrence of a two-qubit state."""
-    import numpy as np
-
-    from .qlinalg import SIGMA_Y, eig_hermitian, mat_sqrt_psd
-
-    if rho.dim != 4:
-        raise ValueError("concurrence requires a two-qubit state")
-    yy = np.kron(SIGMA_Y, SIGMA_Y)
-    rho_tilde = yy @ rho.mat.conj() @ yy
-    root = mat_sqrt_psd(rho)
-    w, _ = eig_hermitian(root @ rho_tilde @ root)
-    lam = np.sqrt(np.clip(w, 0.0, None))
-    return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
-
-
-def chsh(rho: DensityOp) -> NonlocalityReport:
-    """Correlation-matrix CHSH criterion for a two-qubit state."""
-    import numpy as np
-
-    from .qlinalg import PAULIS, eig_hermitian
-
-    if rho.dim != 4:
-        raise ValueError("chsh requires a two-qubit state")
-    t = np.empty((3, 3), dtype=float)
-    for i, si in enumerate(PAULIS):
-        for j, sj in enumerate(PAULIS):
-            t[i, j] = float(np.real(np.trace(rho.mat @ np.kron(si, sj))))
-    u, _ = eig_hermitian(t.T @ t)
-    m_value = float(u[-1] + u[-2])
-    t.flags.writeable = False
-    return NonlocalityReport(
-        t_matrix=t,
-        m_value=m_value,
-        b_max=float(2.0 * np.sqrt(max(0.0, m_value))),
-        violates=bool(m_value > 1.0),
-    )

@@ -6,16 +6,16 @@ the phi states carry a*b, the sender's double-flip factor times b, and the
 minus outcomes negate the coherence.  A run reads its four branch states from
 that table, applies the receiver's conditioned correction as a permutation of
 their elements, and reports per-branch data plus the classical communication
-cost.  The three-qubit pipeline these states come from (``build_joint``, the
-factor matrices of ``channels``, a Bell projection) is kept as public support
-for the brute-force oracle of the tests.
+cost.  The three-qubit pipeline these states come from (the initial state,
+both wings' factor matrices, a Bell projection) is the brute-force oracle
+``reference.brute_force_run``; no run builds it.
 
 Both resources are two-qubit X-states with rho_12 = 0: their density matrix
 is nonzero only on the diagonal and the anti-diagonal, so each closed form reads
 a resource through five numbers alone, the populations r00, r11, r22, r33 and
 the coherence z = rho_03 (``x_state``).  The branch table is written once in
-them; ``resource_state`` builds the same matrix from the kets and the Bell
-projector instead, as the independent oracle.
+them; ``reference.resource_state`` builds the same matrix from the kets and
+the Bell projector instead, as the independent oracle.
 
 Two bookkeeping conventions coexist for the conditional receiver states.  The
 physical one normalizes each branch to unit trace and weights it by its exact
@@ -158,26 +158,6 @@ BELL_ORDER = (
     BellOutcome.PSI_MINUS,
 )
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-_BELL_AMPS = {
-    BellOutcome.PHI_PLUS: (_INV_SQRT2, 0.0, 0.0, _INV_SQRT2),
-    BellOutcome.PHI_MINUS: (_INV_SQRT2, 0.0, 0.0, -_INV_SQRT2),
-    BellOutcome.PSI_PLUS: (0.0, _INV_SQRT2, _INV_SQRT2, 0.0),
-    BellOutcome.PSI_MINUS: (0.0, _INV_SQRT2, -_INV_SQRT2, 0.0),
-}
-
-# receiver-side corrections I, Z, X and iY; the phi-minus one matters only for
-# RETAIN_ALL runs.  run_with_factors applies them as element permutations of
-# the branch states
-_CORRECTIONS = {
-    BellOutcome.PHI_PLUS: ((1.0, 0.0), (0.0, 1.0)),
-    BellOutcome.PHI_MINUS: ((1.0, 0.0), (0.0, -1.0)),
-    BellOutcome.PSI_PLUS: ((0.0, 1.0), (1.0, 0.0)),
-    BellOutcome.PSI_MINUS: ((0.0, 1.0), (-1.0, 0.0)),
-}
-
-
 class Strategy(enum.Enum):
     RETAIN_PSI_ONLY = "retain-psi"
     RETAIN_ALL = "retain-all"
@@ -226,29 +206,6 @@ class ProtocolRun:
         return tuple(b for b in self.branches if b.retained)
 
 
-def resource_state(resource: ResourceSpec) -> DensityOp:
-    """Two-qubit density operator of the shared resource."""
-    import numpy as np
-
-    from .qlinalg import PureKet, _unchecked
-
-    if isinstance(resource, PurePair):
-        return PureKet([resource.mu, 0.0, 0.0, resource.lam]).projector()
-    if isinstance(resource, Werner):
-        phi = np.array(_BELL_AMPS[BellOutcome.PHI_PLUS], dtype=complex)
-        mat = resource.p * np.outer(phi, phi.conj()) + (1.0 - resource.p) / 4.0 * np.eye(4)
-        return _unchecked(mat)
-    raise TypeError(f"unknown resource spec {resource!r}")
-
-
-def build_joint(input_state: BlochAngles, resource: ResourceSpec) -> DensityOp:
-    """Initial three-qubit state: input qubit (leftmost) times resource pair."""
-    from .qlinalg import tensor
-
-    rho_in = input_state.ket().projector()
-    return tensor(rho_in, resource_state(resource))
-
-
 def _entropy_bits(probs) -> float:
     h = 0.0
     for p in probs:
@@ -277,12 +234,12 @@ def classical_bits_for(probabilities: Dict[BellOutcome, float], strategy: Strate
 def _check_sender_map(factors: DecoherenceFactors) -> None:
     """Raise unless the sender's common-bath map is positive, whatever the input.
 
-    The map multiplies entrywise by the factor matrix of ``channels``, so it
-    is positive iff that 4x4 matrix is PSD (Schur product theorem).  Its two
-    middle rows are equal, so this holds iff [[1, f, a], [f*, 1, g*],
-    [a*, g, 1]] is PSD; with a unit diagonal and magnitudes <= 1 that is its
-    determinant being >= 0.  Factors from one bath give (1 - x)^2 (1 - x^2)
-    with x = exp(-2G), never negative.
+    The map multiplies entrywise by the 4x4 factor matrix of
+    ``reference.alice_factor_matrix``, so it is positive iff that matrix is
+    PSD (Schur product theorem).  Its two middle rows are equal, so this holds
+    iff [[1, f, a], [f*, 1, g*], [a*, g, 1]] is PSD; with a unit diagonal and
+    magnitudes <= 1 that is its determinant being >= 0.  Factors from one bath
+    give (1 - x)^2 (1 - x^2) with x = exp(-2G), never negative.
     """
     from .qlinalg import PSD_TOL
 
@@ -301,9 +258,9 @@ def run_with_factors(
     """Teleportation run with the decoherence factors supplied directly.
 
     Every branch state is a closed form (``_paper_scaled_elements``), with
-    probability (m00 + m11)/4.  The corrections of ``_CORRECTIONS`` only
-    permute its elements: I and Z give (m00, m11, m01), X and iY give
-    (m11, m00, conj m01), so the corrected plus and minus outputs coincide.
+    probability (m00 + m11)/4.  The receiver's corrections I, Z, X and iY
+    (``reference.CORRECTIONS``) only permute its elements: I and Z give
+    (m00, m11, m01), X and iY give (m11, m00, conj m01), so the corrected plus and minus outputs coincide.
     The caller's factors are checked once, by ``_check_sender_map``; the
     states built from them are wrapped without a re-check.
     """

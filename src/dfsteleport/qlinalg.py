@@ -1,4 +1,4 @@
-"""Dense complex linear algebra for two-, four- and eight-dimensional quantum states.
+"""The array state the program returns: a dense complex density operator on 1-3 qubits.
 
 States live in the computational product basis ordered binary-ascending with
 spin-up mapped to bit 0, so for two qubits the rows/columns are
@@ -6,13 +6,15 @@ spin-up mapped to bit 0, so for two qubits the rows/columns are
 ``HERMITICITY_TOL`` (1e-12) and the positivity check uses ``PSD_TOL`` (1e-10);
 these are comfortable for double precision at the 8x8 sizes handled here.
 
-Values are validated once, where they enter the package: a ``DensityOp`` or
-``PureKet`` that a caller builds runs every structural and spectral check.  A
-state the package derives from checked states through a map that preserves
-Hermiticity, trace and positivity (a projector, a tensor product, a
-closed-form branch state) is wrapped by ``_unchecked`` without a second
-eigen-solve.  Values are immutable either way (the wrapped arrays are frozen),
-so everything in this module is safe to share across parallel workers.
+Values are validated once, where they enter the package: a ``DensityOp`` that
+a caller builds runs every structural and spectral check.  A state the
+package derives from checked states through a map that preserves
+Hermiticity, trace and positivity (a closed-form branch state, or an
+oracle's projector or tensor product) is wrapped by ``_unchecked`` without a
+second eigen-solve.  Values are immutable either way (the wrapped arrays are
+frozen), so everything in this module is safe to share across parallel
+workers.  The kets, the Paulis and the eigen-solvers of the oracles are in
+``reference``.
 
 This module imports numpy at load.  The package imports it on first use of an
 array state, so a command that reads only scalar closed forms never does.
@@ -21,7 +23,7 @@ array state, so a command that reads only scalar closed forms never does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Iterable
 
 import numpy as np
 
@@ -29,14 +31,8 @@ from .bloch import BlochAngles, ContractViolationError  # noqa: F401  (BlochAngl
 
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
-NORM_TOL = 1e-12
 
 SUPPORTED_DIMS = (2, 4, 8)
-
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 class UnsupportedDimensionError(ValueError):
@@ -101,62 +97,3 @@ def _unchecked(mat: np.ndarray, normalized: bool = True) -> DensityOp:
     object.__setattr__(rho, "mat", _freeze(np.asarray(mat, dtype=complex)))
     object.__setattr__(rho, "normalized", normalized)
     return rho
-
-
-@dataclass(frozen=True)
-class PureKet:
-    """Normalized state vector in the computational basis."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        a = np.array(self.amps, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(a)):
-            raise ContractViolationError("ket contains NaN or Inf amplitudes")
-        if abs(np.linalg.norm(a) - 1.0) > NORM_TOL:
-            raise ContractViolationError("ket is not normalized to 1e-12")
-        object.__setattr__(self, "amps", _freeze(a))
-
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
-    def projector(self) -> DensityOp:
-        if self.dim not in SUPPORTED_DIMS:
-            raise UnsupportedDimensionError(f"projector dimension {self.dim} not in {SUPPORTED_DIMS}")
-        return _unchecked(np.outer(self.amps, self.amps.conj()))
-
-
-def tensor(a: DensityOp | PureKet, b: DensityOp | PureKet) -> DensityOp | PureKet:
-    """Kronecker product of two states of the same kind (left factor varies slowest)."""
-    if isinstance(a, DensityOp) and isinstance(b, DensityOp):
-        if a.dim * b.dim not in SUPPORTED_DIMS:
-            raise UnsupportedDimensionError(
-                f"tensor product dimension {a.dim * b.dim} exceeds 8"
-            )
-        return _unchecked(np.kron(a.mat, b.mat), a.normalized and b.normalized)
-    if isinstance(a, PureKet) and isinstance(b, PureKet):
-        return PureKet(np.kron(a.amps, b.amps))
-    raise TypeError("tensor operands must both be DensityOp or both PureKet")
-
-
-def eig_hermitian(m: np.ndarray | DensityOp) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-    a = m.mat if isinstance(m, DensityOp) else _as_complex_matrix(m)
-    if np.max(np.abs(a - a.conj().T)) > 1e-10:
-        raise ContractViolationError("eig_hermitian requires a Hermitian matrix (tol 1e-10)")
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
-def mat_sqrt_psd(m: np.ndarray | DensityOp) -> np.ndarray:
-    """Principal square root of a Hermitian PSD matrix.
-
-    Eigenvalues in [-1e-8, 0) are clipped to zero; anything more negative is a
-    contract violation.
-    """
-    w, v = eig_hermitian(m)
-    if w[0] < -1e-8:
-        raise ContractViolationError(f"matrix has negative eigenvalue {w[0]!r}")
-    root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return 0.5 * (root + root.conj().T)

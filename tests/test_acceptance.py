@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import brute_force_run, random_bloch, random_pure_pair, random_werner
+from conftest import random_bloch, random_pure_pair, random_werner
 
 from dfsteleport import cli, experiments
 from dfsteleport.experiments import (
@@ -37,6 +37,7 @@ from dfsteleport.protocol import (
     run_with_factors,
 )
 from dfsteleport.qlinalg import BlochAngles
+from dfsteleport.reference import brute_force_run
 
 TWO_PI = 2.0 * np.pi
 SQRT_HALF = 1.0 / np.sqrt(2.0)

@@ -3,15 +3,16 @@ import pytest
 
 from conftest import random_density
 
-from dfsteleport.channels import (
+from dfsteleport.noisekernel import NoiseParams, cumulative_decay, factors_at
+from dfsteleport.qlinalg import DensityOp
+from dfsteleport.reference import (
     FactorMatrix,
+    PureKet,
     alice_factor_matrix,
     apply_channel,
     bob_factor_matrix,
     joint_evolve,
 )
-from dfsteleport.noisekernel import NoiseParams, cumulative_decay, factors_at
-from dfsteleport.qlinalg import DensityOp, PureKet
 
 TWO_PI = 2.0 * np.pi
 NOISELESS = NoiseParams(gamma=0.0, lambda_c=1.0)

@@ -26,9 +26,9 @@ from dfsteleport.experiments import (
     sweep_table,
     to_csv,
 )
-from dfsteleport.metrics import chsh, concurrence
 from dfsteleport.noisekernel import NoiseParams
-from dfsteleport.protocol import PurePair, Strategy, Werner, resource_state
+from dfsteleport.protocol import PurePair, Strategy, Werner
+from dfsteleport.reference import chsh, concurrence, resource_state
 
 TWO_PI = 2.0 * np.pi
 

@@ -13,12 +13,11 @@ from dfsteleport.metrics import (
     average_fts_analytic,
     average_fts_numeric,
     bloch_fidelity_fn,
-    chsh,
-    concurrence,
 )
 from dfsteleport.noisekernel import DecoherenceFactors, NoiseParams, factors_at
-from dfsteleport.protocol import PurePair, Werner, resource_state
+from dfsteleport.protocol import PurePair, Werner
 from dfsteleport.qlinalg import DensityOp
+from dfsteleport.reference import chsh, concurrence, resource_state
 
 TWO_PI = 2.0 * np.pi
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -151,6 +150,21 @@ def test_physical_average_coincides_with_paper_for_werner_and_balanced_pairs():
     pair = PurePair(0.6, 0.8)
     assert average_fts_analytic(pair, fac.b, "physical") != pytest.approx(
         average_fts_analytic(pair, fac.b, "paper"), abs=1e-3)
+
+
+def test_paper_average_is_the_trace_weighted_physical_average():
+    # physical averages the kept state's fidelity; paper weights each input by
+    # its branch trace, whose mean is A + B = 1, so it is the success-weighted mean
+    theta, quadrature = metrics._quadrature_theta()
+    u = 0.5 * (1.0 + np.cos(theta))
+    resources = [*(PurePair.from_concurrence(c) for c in (0.1, 0.5, 0.96)), PurePair(0.9, np.sqrt(0.19)),
+                 Werner(0.3), Werner(0.9)]
+    for resource in resources:
+        for b in (1.0, 0.7, -0.4 + 0.2j):
+            val, trace = metrics._polar_fidelity_and_trace(resource, b, u)
+            assert quadrature(trace).value == pytest.approx(1.0, abs=4e-15)
+            weighted = quadrature(val / trace * trace).value
+            assert weighted == pytest.approx(average_fts_analytic(resource, b, "paper"), abs=4e-15)
 
 
 PHYSICAL_B = 0.83 * np.exp(-0.7j)

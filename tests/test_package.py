@@ -78,27 +78,28 @@ def test_run_works_as_the_first_call(tmp_path):
     cfg = {"resource": {"kind": "pure", "concurrence": 0.8}, "tau": 6.0,
            "input": {"theta": 1.0, "phi": 0.2}, "seed": 3}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    code = "from dfsteleport import cli; print(cli.main(['run', '--config', 'cfg.json', '--out', 'out']))"
-    assert run_fresh(code, cwd=tmp_path) == "0"
+    code = ("import sys; from dfsteleport import cli; "
+            "print(cli.main(['run', '--config', 'cfg.json', '--out', 'out']), 'dfsteleport.reference' in sys.modules)")
+    assert run_fresh(code, cwd=tmp_path) == "0 False"
     assert (tmp_path / "out").read_text() == to_json(run_report(parse_config(cfg)))
 
 
 def test_run_protocol_works_as_the_first_call():
     # the first array state imports numpy; its matrices are the ones this process builds
-    code = ("import dfsteleport as d; "
+    code = ("import sys, dfsteleport as d; "
             "run = d.run_protocol(d.BlochAngles(1.0, 0.2), d.PurePair.from_concurrence(0.8), "
             "d.NoiseParams(0.3, 0.1), d.NoiseParams(0.1, 0.05), 6.0, d.Strategy.RETAIN_ALL); "
-            "print(type(run.branches[0].bob_paper_scaled).__name__, "
+            "print('dfsteleport.reference' in sys.modules, type(run.branches[0].bob_paper_scaled).__name__, "
             "[b.bob_paper_scaled.mat.tolist() for b in run.branches])")
     d = dfsteleport
     run = d.run_protocol(d.BlochAngles(1.0, 0.2), d.PurePair.from_concurrence(0.8),
                          d.NoiseParams(0.3, 0.1), d.NoiseParams(0.1, 0.05), 6.0, d.Strategy.RETAIN_ALL)
-    assert run_fresh(code) == f"DensityOp {[b.bob_paper_scaled.mat.tolist() for b in run.branches]}"
+    assert run_fresh(code) == f"False DensityOp {[b.bob_paper_scaled.mat.tolist() for b in run.branches]}"
 
 
-def test_cli_import_loads_no_brute_force_channels():
-    # the 8x8 factor matrices serve the brute-force oracle only, not the simulator
-    assert modules_loaded_by_cli_import("dfsteleport.channels") == "[]"
+def test_cli_import_loads_no_reference_oracles():
+    # the brute-force run and the eigen-solver criteria check the simulator; no command uses them
+    assert modules_loaded_by_cli_import("dfsteleport.reference") == "[]"
 
 
 def test_simulator_names_resolve_at_top_level():

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_run, random_bloch, random_pure_pair, random_werner
+from conftest import random_bloch, random_pure_pair, random_werner
 
 from dfsteleport import qlinalg
-from dfsteleport.channels import alice_factor_matrix
 from dfsteleport.noisekernel import DecoherenceFactors, NoiseParams, factors_at
 from dfsteleport.protocol import (
     BELL_ORDER,
@@ -12,17 +11,24 @@ from dfsteleport.protocol import (
     PurePair,
     Strategy,
     Werner,
-    _BELL_AMPS,
-    _CORRECTIONS,
     _check_sender_map,
     analytic_branch_states,
-    build_joint,
     classical_bits_for,
-    resource_state,
     run_protocol,
     run_with_factors,
 )
-from dfsteleport.qlinalg import BlochAngles, ContractViolationError, PureKet, tensor
+from dfsteleport.qlinalg import BlochAngles, ContractViolationError
+from dfsteleport.reference import (
+    BELL_AMPS,
+    CORRECTIONS,
+    PureKet,
+    alice_factor_matrix,
+    brute_force_run,
+    build_joint,
+    ket,
+    resource_state,
+    tensor,
+)
 
 TWO_PI = 2.0 * np.pi
 NOISELESS = NoiseParams(gamma=0.0, lambda_c=1.0)
@@ -87,7 +93,7 @@ def test_x_state_is_the_resource_state_entries():
 def test_bell_kets_orthonormal():
     for i, a in enumerate(BELL_ORDER):
         for j, b in enumerate(BELL_ORDER):
-            overlap = np.vdot(_BELL_AMPS[a], _BELL_AMPS[b])
+            overlap = np.vdot(BELL_AMPS[a], BELL_AMPS[b])
             assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-15)
 
 
@@ -119,7 +125,7 @@ def test_build_joint_werner_p1_is_bell_product():
 def test_build_joint_werner_p0_is_maximally_mixed_pair():
     ang = BlochAngles(theta=1.1, phi=2.2)
     rho = build_joint(ang, Werner(0.0))
-    want = tensor(ang.ket().projector(), resource_state(Werner(0.0)))
+    want = tensor(ket(ang).projector(), resource_state(Werner(0.0)))
     assert np.allclose(rho.mat, want.mat, atol=1e-15)
     assert np.allclose(resource_state(Werner(0.0)).mat, np.eye(4) / 4.0)
 
@@ -320,7 +326,7 @@ def test_balanced_pair_spin_up_input_psi_branch():
 
 def test_corrections_are_unitary():
     for outcome in BELL_ORDER:
-        u = np.asarray(_CORRECTIONS[outcome])
+        u = np.asarray(CORRECTIONS[outcome])
         assert np.allclose(u @ u.conj().T, np.eye(2), atol=1e-15)
 
 

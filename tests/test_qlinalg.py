@@ -4,16 +4,12 @@ import pytest
 from conftest import random_density, random_hermitian
 
 from dfsteleport.qlinalg import (
-    SIGMA_Z,
     BlochAngles,
     ContractViolationError,
     DensityOp,
-    PureKet,
     UnsupportedDimensionError,
-    eig_hermitian,
-    mat_sqrt_psd,
-    tensor,
 )
+from dfsteleport.reference import SIGMA_Z, PureKet, eig_hermitian, mat_sqrt_psd, tensor
 
 UP = PureKet(np.array([1.0, 0.0]))
 DOWN = PureKet(np.array([0.0, 1.0]))
