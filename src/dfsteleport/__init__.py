@@ -16,15 +16,14 @@ matrices it evolves through), Wootters concurrence and the CHSH criterion
 Bloch averages (``metrics.bloch_fidelity_fn``, ``metrics.average_fts_numeric``)
 and ``protocol.analytic_branch_states`` remain in their modules.
 
-Every command but ``run`` reads scalar closed forms only, so importing the
-package or its CLI loads no numpy.  The array states (``DensityOp``, the
-branch states of ``run_protocol``) and ``run``'s numeric averages import it
-on first use; ``reference`` imports it at load.
+Array code imports numpy where it uses it: building a ``DensityOp`` (the
+branch states of ``run_protocol``) or ``run``'s numeric averages.  Importing
+the package or its CLI, or any command but ``run``, loads no numpy;
+``reference``, which no command imports, loads it at import.
 """
 
 __version__ = "0.1.0"
 
-from .bloch import BlochAngles, ContractViolationError
 from .metrics import average_fts_affine, average_fts_analytic
 from .noisekernel import (
     DecoherenceFactors,
@@ -46,17 +45,7 @@ from .protocol import (
     run_protocol,
     run_with_factors,
 )
-
-
-def __getattr__(name: str):
-    # the names whose module loads numpy resolve on first use (PEP 562)
-    if name not in ("DensityOp", "UnsupportedDimensionError"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import qlinalg
-
-    value = globals()[name] = getattr(qlinalg, name)
-    return value
-
+from .qlinalg import BlochAngles, ContractViolationError, DensityOp, UnsupportedDimensionError
 
 __all__ = [
     "__version__",

@@ -39,7 +39,7 @@ from .metrics import CONVENTIONS, _numeric_averages, average_fts_analytic
 from .noisekernel import DecoherenceFactors, NoiseParams, factors_at, phase_integral, receiver_factor
 from .optimizer import TimingProblem, grid_points, maximize_timing, sweep
 from .protocol import PurePair, ResourceSpec, Strategy, Werner, run_with_factors
-from .bloch import BlochAngles
+from .qlinalg import BlochAngles
 
 DEFAULT_RESOURCE = PurePair.from_concurrence(1.0)
 # sender-bath defaults; results the tool reports are invariant to them

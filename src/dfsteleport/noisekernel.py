@@ -341,8 +341,8 @@ def factors_at(alice: NoiseParams, bob: NoiseParams, tau: float) -> DecoherenceF
         b = exp(-i*w0*tau - H)            receiver coherence
 
     The double-flip exponent accumulates four times the single-flip decay and
-    no bath phase; the up-down/down-up coherence it leaves untouched is
-    handled in the channel layer.
+    no bath phase; the up-down/down-up coherence it leaves untouched is why
+    the psi rows of ``protocol._branch_elements`` carry the receiver's b alone.
     """
     g_alice = cumulative_decay(alice, tau)
     # reduced exactly, so that a huge bath phase does not swallow omega0*tau in the sum below

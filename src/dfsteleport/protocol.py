@@ -36,8 +36,7 @@ Bennett et al. (PRL 70, 1895, 1993) remains available as a baseline through
 ``Strategy.RETAIN_ALL``.
 
 The resource records and the branch table are plain Python; the functions
-that return ``DensityOp`` states import ``qlinalg``, and with it numpy, on
-first use.
+that build ``DensityOp`` states import numpy where they use it.
 """
 
 from __future__ import annotations
@@ -45,13 +44,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from .bloch import BlochAngles, ContractViolationError
 from .noisekernel import DecoherenceFactors, NoiseParams, factors_at
-
-if TYPE_CHECKING:
-    from .qlinalg import DensityOp
+from .qlinalg import PSD_TOL, BlochAngles, ContractViolationError, DensityOp, _unchecked
 
 DEGENERATE_PROB = 1e-14
 PROB_SUM_TOL = 1e-12
@@ -241,8 +237,6 @@ def _check_sender_map(factors: DecoherenceFactors) -> None:
     magnitudes <= 1 that is its determinant being >= 0.  Factors from one bath
     give (1 - x)^2 (1 - x^2) with x = exp(-2G), never negative.
     """
-    from .qlinalg import PSD_TOL
-
     f, g, a = complex(factors.f), complex(factors.g), complex(factors.a)
     det = 1.0 - abs(f) ** 2 - abs(g) ** 2 - abs(a) ** 2 + 2.0 * (f * g.conjugate() * a.conjugate()).real
     if det < -PSD_TOL:
@@ -265,8 +259,6 @@ def run_with_factors(
     states built from them are wrapped without a re-check.
     """
     import numpy as np
-
-    from .qlinalg import _unchecked
 
     _check_sender_map(factors)
     alpha, beta = input_state.alpha, input_state.beta
@@ -378,8 +370,6 @@ def analytic_branch_states(
     without an eigen-check.
     """
     import numpy as np
-
-    from .qlinalg import _unchecked
 
     out: Dict[BellOutcome, DensityOp] = {}
     for outcome, sign, m00, m11, m01 in _paper_scaled_elements(input_state, resource, factors):

@@ -45,7 +45,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .bloch import BlochAngles, ContractViolationError
 from .noisekernel import DecoherenceFactors
 from .protocol import (
     BELL_ORDER,
@@ -60,12 +59,8 @@ from .protocol import (
     Werner,
 )
 from .qlinalg import (
-    SUPPORTED_DIMS,
-    DensityOp,
-    UnsupportedDimensionError,
-    _as_complex_matrix,
-    _freeze,
-    _unchecked,
+    SUPPORTED_DIMS, BlochAngles, ContractViolationError, DensityOp, UnsupportedDimensionError,
+    _as_complex_matrix, _freeze, _unchecked,
 )
 
 NORM_TOL = 1e-12

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfsteleport import cli, experiments, optimizer
-from dfsteleport.bloch import BlochAngles
 from dfsteleport.experiments import (
     ConfigError,
     DEVIATION_FLAG,
@@ -28,6 +27,7 @@ from dfsteleport.experiments import (
 )
 from dfsteleport.noisekernel import NoiseParams
 from dfsteleport.protocol import PurePair, Strategy, Werner
+from dfsteleport.qlinalg import BlochAngles
 from dfsteleport.reference import chsh, concurrence, resource_state
 
 TWO_PI = 2.0 * np.pi

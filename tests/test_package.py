@@ -97,6 +97,14 @@ def test_run_protocol_works_as_the_first_call():
     assert run_fresh(code) == f"False DensityOp {[b.bob_paper_scaled.mat.tolist() for b in run.branches]}"
 
 
+def test_state_types_import_without_numpy():
+    # qlinalg imports numpy inside the functions that use it; the first checked state loads it
+    code = ("import sys, dfsteleport.qlinalg; "
+            "from dfsteleport import BlochAngles, DensityOp, UnsupportedDimensionError; "
+            "print('numpy' in sys.modules, DensityOp([[0.5, 0.5], [0.5, 0.5]]).trace, 'numpy' in sys.modules)")
+    assert run_fresh(code) == "False 1.0 True"
+
+
 def test_cli_import_loads_no_reference_oracles():
     # the brute-force run and the eigen-solver criteria check the simulator; no command uses them
     assert modules_loaded_by_cli_import("dfsteleport.reference") == "[]"
@@ -108,3 +116,25 @@ def test_simulator_names_resolve_at_top_level():
              "run_protocol", "maximize_timing", "TimingProblem")
     # test_every_exported_name_resolves checks that each name in __all__ resolves
     assert sorted(set(names) - set(dfsteleport.__all__)) == []
+
+
+def test_benchmark_reads_the_program_names_it_needs(monkeypatch):
+    # bench/ imports these names at import or on its first job; a program change that drops one fails here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import oracles
+    import tracing
+    import workloads
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    d = dfsteleport
+    run = d.run_protocol(d.BlochAngles(1.0, 0.2), d.PurePair.from_concurrence(0.8),
+                         d.NoiseParams(0.3, 0.1), d.NoiseParams(0.1, 0.05), 6.0)
+    record = oracles.protocol_record(run)
+    assert record.shape == (oracles.RECORD_SIZE,) and record[20] == run.classical_bits
+    config = {"resource": {"kind": "pure", "concurrence": 0.8},
+              "bob_noise": {"gamma": 0.1, "lambda_c": 0.05, "temperature": 1.0}}
+    b = d.receiver_factor(d.NoiseParams(**config["bob_noise"]), 6.0)
+    closed = d.average_fts_analytic(workloads.resource_spec(config["resource"]), b)
+    assert abs(oracles.thermal_average(config, 6.0) - closed) < oracles.TOL_THERMAL
