@@ -40,13 +40,17 @@ as q -> 0, so small q takes the series.  Every slope is >= 0, the premise of
 
 A run takes its quadrature and Monte-Carlo cross-checks from this polar form
 (``_polar_fidelity_and_trace``) on the 64 Gauss-Legendre theta nodes and on
-the seeded cos(theta) draws, each evaluated once for both conventions.  A
-Werner trace is exactly 1.0 there, so its physical averages equal its paper
-ones bit for bit.  Each point set runs in at most four rows allocated once
-per call, draws included, every step in place: a fresh 800 kB temporary per
-step came back as page faults on every call, once the heap had returned the
-freed pages to the system.  The (theta, phi) functions built from the branch
-elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
+the seeded draws, each evaluated once for both conventions.  A Werner trace
+is exactly 1.0 there, so its physical averages equal its paper ones bit for
+bit.  The theta nodes run in four 64-wide rows.  The 100 000 draws stream
+through one buffer of four ``_MC_BLOCK``-wide rows, allocated once per call
+and small enough to stay in cache: each raw draw r is already
+u = (cos(theta) + 1)/2, because r = k 2^-53 makes 2r - 1 and the way back
+exact, every step runs in place in the block, and each block's mean and
+squared deviations are merged into running (n, mean, M2) totals (Chan, Golub
+and LeVeque).  So a call holds the block's 320 kB whatever the sample count,
+where 100 000-wide rows would hold 3.2 MB.  The (theta, phi) functions built
+from the branch elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
 ``average_fts_numeric``) are kept as its oracles; no command calls them.
 The closed-form averages are plain ``math``; the numeric averages and the
 oracles import numpy on first use.  The eigen-solver concurrence and CHSH
@@ -83,6 +87,8 @@ CONVENTIONS = ("paper", "physical")
 _MIN_MC_SAMPLES = 1000
 _NODES = 64  # Gauss-Legendre nodes in theta and trapezoid nodes in phi
 _MC_SAMPLES = 100_000  # Monte-Carlo draws of a run and the averagers' default
+_MC_BLOCK = 10_000  # draws a run evaluates at a time: four rows of them are 320 kB
+_NO_DRAWS = (0, 0.0, 0.0)  # the (n, mean, M2) totals before the first draw
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def _fidelity_and_trace(resource: ResourceSpec, b: complex, theta, phi):
     # <in| X rho X |in>: the sigma_x correction swaps the diagonal and conjugates m01
     val = (
         alpha**2 * m11
-        + np.abs(beta) ** 2 * m00
+        + np.sin(theta / 2.0) ** 2 * m00
         + 2.0 * np.real(alpha * np.conj(beta) * m01)
     )
     return val, m11 + m00
@@ -188,39 +194,60 @@ def _quadrature_theta():
     theta = 0.5 * np.pi * (x + 1.0)
     wtheta = 0.5 * np.pi * w * np.sin(theta)
 
-    def reduce(vals, work=None) -> NumericAverage:
-        # the dot product needs no work row
+    def reduce(vals) -> NumericAverage:
         return NumericAverage(value=float(np.dot(wtheta, vals) / 2.0), stderr=None)
 
     return theta, reduce
 
 
-def _montecarlo_cos_theta(samples: int, seed: int, out=None):
-    """``(rng, cos_theta, reduce)``: the seeded cos(theta) draws, written into
-    ``out`` when given, the generator left after them, and the map from values
-    at the draws to their ``NumericAverage``.  The map squares the deviations
-    from the mean in its ``work`` row when given."""
+def _merge_moments(totals, vals, work=None):
+    """``totals`` = (n, mean, M2) with the values ``vals`` merged in.
+
+    The block's mean and squared deviations are np.mean's and np.var's bits,
+    the deviations squared in ``work`` when given; the merge is Chan, Golub
+    and LeVeque's.  Merged into ``_NO_DRAWS`` they come back exactly.
+    """
+    import numpy as np
+
+    n_a, mean_a, m2_a = totals
+    n_b = vals.size
+    mean_b = float(np.add.reduce(vals, axis=None)) / n_b
+    dev = np.subtract(vals, mean_b, out=work)
+    np.square(dev, out=dev)
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    m2 = m2_a + float(np.add.reduce(dev, axis=None)) + delta * delta * (n_a * n_b / n)
+    return n, mean_a + delta * (n_b / n), m2
+
+
+def _montecarlo_average(totals) -> NumericAverage:
+    """The mean of (n, mean, M2) totals and its standard error; below 1000
+    samples the error bar is doubled and flagged ``widened``."""
+    n, mean, m2 = totals
+    stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
+    widened = n < _MIN_MC_SAMPLES
+    if widened:
+        stderr *= 2.0
+    return NumericAverage(value=mean, stderr=stderr, widened=widened)
+
+
+def _montecarlo_cos_theta(samples: int, seed: int):
+    """``(rng, cos_theta, reduce)``: the seeded cos(theta) draws as one array,
+    the generator left after them, and the map from values at the draws to
+    their ``NumericAverage``.
+
+    A run streams the same draws through ``_numeric_averages``' block
+    instead, as u = (cos(theta) + 1)/2; the map is its merge over one block.
+    """
     import numpy as np
 
     if samples < 2:
         raise ValueError("montecarlo needs at least 2 samples")
     rng = np.random.default_rng(seed)
-    # rng.uniform(-1.0, 1.0, samples) step by step, in place
-    cos_theta = rng.random(out=np.empty(samples) if out is None else out)
-    cos_theta *= 2.0
-    cos_theta += -1.0
+    cos_theta = rng.uniform(-1.0, 1.0, samples)
 
-    def reduce(vals, work=None) -> NumericAverage:
-        # np.mean and np.std(ddof=1) step by step, so the bits are theirs
-        mean = np.add.reduce(vals, axis=None) / samples
-        dev = np.subtract(vals, mean, out=work)
-        np.square(dev, out=dev)
-        std = np.sqrt(np.add.reduce(dev, axis=None) / (samples - 1))
-        stderr = float(std / np.sqrt(samples))
-        widened = samples < _MIN_MC_SAMPLES
-        if widened:
-            stderr *= 2.0
-        return NumericAverage(value=float(mean), stderr=stderr, widened=widened)
+    def reduce(vals) -> NumericAverage:
+        return _montecarlo_average(_merge_moments(_NO_DRAWS, vals))
 
     return rng, cos_theta, reduce
 
@@ -307,27 +334,34 @@ def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
 
     The retained value does not depend on phi, so each point set is its polar
     part: the theta nodes (the phi trapezoid of a phi-independent value is
-    exact) and the seeded cos(theta) draws, each evaluated once for both
-    conventions.  Every average agrees with ``average_fts_numeric(
-    bloch_fidelity_fn(resource, factors, convention), method, seed=seed)`` to
-    rounding.  A Werner trace is exactly 1.0 on every u, so its physical
-    averages are the paper ones.  Each point set runs in its own four rows.
+    exact) and the seeded draws, each evaluated once for both conventions.
+    Every average agrees with ``average_fts_numeric(bloch_fidelity_fn(
+    resource, factors, convention), method, seed=seed)`` to rounding.  A
+    Werner trace is exactly 1.0 on every u, so its physical averages are the
+    paper ones.  The theta nodes run in four 64-wide rows; the draws stream
+    through four ``_MC_BLOCK``-wide rows, one block at a time, into running
+    (n, mean, M2) totals.
     """
     import numpy as np
 
+    b = factors.b
     theta, quadrature = _quadrature_theta()
-    quad_rows = np.empty((4, _NODES))
-    np.cos(theta, out=quad_rows[0])
-    mc_rows = np.empty((4, _MC_SAMPLES))
-    _, _, montecarlo = _montecarlo_cos_theta(_MC_SAMPLES, seed, mc_rows[0])
-    paper, physical = [], []
-    for rows, reduce in ((quad_rows, quadrature), (mc_rows, montecarlo)):
-        u = rows[0]  # cos(theta) until the next two lines make it u
-        u += 1.0
-        u *= 0.5
-        val, trace = _polar_fidelity_and_trace(resource, factors.b, u, *rows[1:])
+    rows = np.empty((4, _NODES))
+    u = np.cos(theta, out=rows[0])  # cos(theta) until the next two lines make it u
+    u += 1.0
+    u *= 0.5
+    val, trace = _polar_fidelity_and_trace(resource, b, u, *rows[1:])
+    quad_paper, quad_physical = quadrature(val), quadrature(_normalized(val, trace, rows[1]))
+    rng = np.random.default_rng(seed)
+    block = np.empty((4, _MC_BLOCK))
+    paper = physical = _NO_DRAWS
+    for start in range(0, _MC_SAMPLES, _MC_BLOCK):
+        rows = block[:, :min(_MC_BLOCK, _MC_SAMPLES - start)]
+        # the r behind rng.uniform(-1.0, 1.0, _MC_SAMPLES)'s 2r - 1, which is u bit for bit
+        u = rng.random(out=rows[0])
+        val, trace = _polar_fidelity_and_trace(resource, b, u, *rows[1:])
         # u and the first work row are spent: the deviations and the physical value go there
-        paper.append(reduce(val, u))
-        physical.append(reduce(_normalized(val, trace, rows[1]), u))
-    return {"paper": tuple(paper), "physical": tuple(physical)}
-
+        paper = _merge_moments(paper, val, u)
+        physical = _merge_moments(physical, _normalized(val, trace, rows[1]), u)
+    return {"paper": (quad_paper, _montecarlo_average(paper)),
+            "physical": (quad_physical, _montecarlo_average(physical))}

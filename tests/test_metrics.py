@@ -323,16 +323,16 @@ def test_fidelity_report_conventions():
 @pytest.mark.parametrize("b", [0.0, 0.93 + 0.2j, -0.4 + 0.7j])
 def test_polar_form_equals_the_branch_element_form(resource, b):
     # value and trace depend on theta alone: several phi at each theta, poles
-    # included.  The branch-element form's |beta|^2 = |sin(theta/2) e^(i phi)|^2
-    # is a few ulp off 1 - cos^2(theta/2), and the pure value carries it
-    # squared at up to 2 mu^2: 2.7e-15 at most over 200k random points.
+    # included.  The two forms round differently (sin^2(theta/2) against
+    # 1 - cos^2(theta/2), the complex m01 product against Re b): 1.33e-15 at
+    # most over 4.9M random points of these resources and factors.
     rng = np.random.default_rng(23)
     theta = np.repeat(np.concatenate([[0.0, np.pi], rng.uniform(0.0, np.pi, 40)]), 5)
     phi = rng.uniform(0.0, TWO_PI, theta.size)
     val, trace = metrics._fidelity_and_trace(resource, b, theta, phi)
     polar_val, polar_trace = metrics._polar_fidelity_and_trace(resource, b, np.cos(theta / 2.0) ** 2)
-    np.testing.assert_allclose(polar_val, val, rtol=0.0, atol=4e-15)
-    np.testing.assert_allclose(polar_trace, trace, rtol=0.0, atol=4e-15)
+    np.testing.assert_allclose(polar_val, val, rtol=0.0, atol=2e-15)
+    np.testing.assert_allclose(polar_trace, trace, rtol=0.0, atol=2e-15)
 
 
 def test_separable_werner_run_averages_are_one_half():
@@ -370,14 +370,15 @@ def test_average_blocks_match_the_public_averager(resource, b):
         assert blocks["physical"] == blocks["paper"]
 
 
-@pytest.mark.parametrize("resource,normalized", [
-    ({"kind": "pure", "mu": 0.6, "lambda": 0.8}, [64, 100_000]),
-    ({"kind": "werner", "p": 0.8}, [64, 100_000]),
+@pytest.mark.parametrize("resource", [
+    {"kind": "pure", "mu": 0.6, "lambda": 0.8},
+    {"kind": "werner", "p": 0.8},
 ])
-def test_run_report_evaluates_each_point_set_once(monkeypatch, resource, normalized):
-    # the theta nodes and the cos(theta) draws, once each and not once per
-    # convention, and never the (theta, phi) oracle; every resource's physical
-    # value is the ratio, a Werner one over a trace of exactly 1.0
+def test_run_report_evaluates_each_point_set_once(monkeypatch, resource):
+    # the theta nodes, then the draws in blocks of at most _MC_BLOCK, each
+    # once and not once per convention, and never the (theta, phi) oracle;
+    # every resource's physical value is the ratio, a Werner one over a trace
+    # of exactly 1.0
     sizes = {"_polar_fidelity_and_trace": [], "_fidelity_and_trace": [], "_normalized": []}
 
     def counting(name):
@@ -392,9 +393,12 @@ def test_run_report_evaluates_each_point_set_once(monkeypatch, resource, normali
     for name in sizes:
         monkeypatch.setattr(metrics, name, counting(name))
     _run_report(resource)
-    assert sorted(sizes["_polar_fidelity_and_trace"]) == [64, 100_000]
+    quadrature, *blocks = sizes["_polar_fidelity_and_trace"]
+    assert quadrature == 64
+    assert sum(blocks) == metrics._MC_SAMPLES == 100_000
+    assert max(blocks) <= metrics._MC_BLOCK
     assert sizes["_fidelity_and_trace"] == []
-    assert sorted(sizes["_normalized"]) == normalized
+    assert sizes["_normalized"] == sizes["_polar_fidelity_and_trace"]
 
 
 def _expression_polar(resource, b, u):
@@ -428,8 +432,18 @@ def _expression_averages(resource, b, seed):
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, metrics._MC_SAMPLES)
 
     def montecarlo(vals):
-        stderr = np.std(vals, ddof=1) / np.sqrt(vals.size)
-        return metrics.NumericAverage(value=float(np.mean(vals)), stderr=float(stderr))
+        # each block's np.mean and squared deviations, merged in draw order
+        # (Chan, Golub and LeVeque) into the running count, mean and M2
+        n, mean, m2 = 0, 0.0, 0.0
+        for start in range(0, vals.size, metrics._MC_BLOCK):
+            block = vals[start:start + metrics._MC_BLOCK]
+            n_b, mean_b = block.size, np.mean(block)
+            m2_b = np.sum((block - mean_b) ** 2)
+            delta = mean_b - mean
+            mean, m2 = mean + delta * (n_b / (n + n_b)), m2 + m2_b + delta * delta * (n * n_b / (n + n_b))
+            n += n_b
+        stderr = np.sqrt(m2 / (n - 1)) / np.sqrt(n)
+        return metrics.NumericAverage(value=float(mean), stderr=float(stderr))
 
     paper, physical = [], []
     for cos_t, reduce in ((np.cos(theta), quadrature), (draws, montecarlo)):
@@ -499,19 +513,29 @@ def test_in_place_physical_value_is_nan_where_the_trace_is_zero(resource, empty)
 
 
 @pytest.mark.parametrize("seed", [0, 19, 2**32 - 1])
-def test_in_place_draws_leave_the_generator_as_uniform_does(seed):
-    # the same cos(theta) draws, and the same phi draws after them
+def test_block_draws_are_the_oracle_draws_bit_for_bit(seed):
+    # a run draws r in blocks into one buffer and reads it as u = (cos(theta) + 1)/2:
+    # blocks give one call's stream, and r = k 2^-53 makes 2r - 1 and the way back exact
+    n = 10**6
+    r = np.random.default_rng(seed).random(n)
+    blocks = np.empty(n)
+    rng = np.random.default_rng(seed)
+    for start in range(0, n, metrics._MC_BLOCK):
+        rng.random(out=blocks[start:start + metrics._MC_BLOCK])
+    assert blocks.tobytes() == r.tobytes()
+    assert (((2.0 * r - 1.0) + 1.0) * 0.5).tobytes() == r.tobytes()
+    # the oracle's cos(theta) draws are 2r - 1, and its phi draws come after them
     want = np.random.default_rng(seed)
-    row = np.empty(metrics._MC_SAMPLES)
-    rng, cos_theta, _ = metrics._montecarlo_cos_theta(metrics._MC_SAMPLES, seed, row)
-    assert cos_theta is row
+    rng, cos_theta, _ = metrics._montecarlo_cos_theta(metrics._MC_SAMPLES, seed)
     assert cos_theta.tobytes() == want.uniform(-1.0, 1.0, metrics._MC_SAMPLES).tobytes()
+    assert cos_theta.tobytes() == (2.0 * r[:metrics._MC_SAMPLES] - 1.0).tobytes()
     assert rng.uniform(0.0, TWO_PI, 1000).tobytes() == want.uniform(0.0, TWO_PI, 1000).tobytes()
 
 
 @pytest.mark.parametrize("resource", [PurePair(0.6, 0.8), Werner(0.8)], ids=repr)
-def test_numeric_averages_stay_within_four_rows(resource):
-    # four 100k float64 rows per call plus masks, not a fresh 800 kB temporary per step
+def test_numeric_averages_stay_within_one_block(resource):
+    # the draws stream through one buffer of four _MC_BLOCK rows plus masks,
+    # not four 100k rows (3.2 MB)
     fac = factors_with_b(0.93 + 0.2j)
     metrics._numeric_averages(resource, fac, 5)  # numpy's lazy set-up and the cached nodes
     was_tracing = tracemalloc.is_tracing()
@@ -525,7 +549,7 @@ def test_numeric_averages_stay_within_four_rows(resource):
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    assert peak <= 4 * metrics._MC_SAMPLES * 8 + 256 * 1024
+    assert peak < 500_000
 
 
 # ---------------------------------------------------------------- concurrence
