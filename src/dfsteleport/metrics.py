@@ -49,9 +49,16 @@ u = (cos(theta) + 1)/2, because r = k 2^-53 makes 2r - 1 and the way back
 exact, every step runs in place in the block, and each block's mean and
 squared deviations are merged into running (n, mean, M2) totals (Chan, Golub
 and LeVeque).  So a call holds the block's 320 kB whatever the sample count,
-where 100 000-wide rows would hold 3.2 MB.  The (theta, phi) functions built
-from the branch elements (``_fidelity_and_trace``, ``bloch_fidelity_fn``,
-``average_fts_numeric``) are kept as its oracles; no command calls them.
+where 100 000-wide rows would hold 3.2 MB.  The draws are the package's one
+generator, SplitMix64 (Steele, Lea and Flood, OOPSLA 2014), computed in the
+block's rows viewed as uint64 (``_uniform_draws``).  Its start state folds
+every 64-bit word of the seed through SplitMix64's step (``_seed_state``), so
+seeds below 2^64 map one-to-one and larger ones neither alias nor overflow.
+With the plain-``math`` theta rule of ``noisekernel._gauss_legendre``, a run
+loads neither ``numpy.random`` nor ``numpy.polynomial``.  The (theta, phi)
+functions built from the branch elements (``_fidelity_and_trace``,
+``bloch_fidelity_fn``, ``average_fts_numeric``) are kept as its oracles; no
+command calls them.
 The closed-form averages are plain ``math``; the numeric averages and the
 oracles import numpy on first use.  The eigen-solver concurrence and CHSH
 criteria are in ``reference``.
@@ -70,6 +77,7 @@ either strategy, not the keep-all protocol's four branches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
@@ -89,6 +97,11 @@ _NODES = 64  # Gauss-Legendre nodes in theta and trapezoid nodes in phi
 _MC_SAMPLES = 100_000  # Monte-Carlo draws of a run and the averagers' default
 _MC_BLOCK = 10_000  # draws a run evaluates at a time: four rows of them are 320 kB
 _NO_DRAWS = (0, 0.0, 0.0)  # the (n, mean, M2) totals before the first draw
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the state's increment, 2^64
+# over the golden ratio, and the multipliers of its two mixing rounds
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_WORD = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -231,25 +244,96 @@ def _montecarlo_average(totals) -> NumericAverage:
     return NumericAverage(value=mean, stderr=stderr, widened=widened)
 
 
-def _montecarlo_cos_theta(samples: int, seed: int):
-    """``(rng, cos_theta, reduce)``: the seeded cos(theta) draws as one array,
-    the generator left after them, and the map from values at the draws to
-    their ``NumericAverage``.
+def _seed_state(seed: int) -> int:
+    """The start state of ``seed``'s draws: each 64-bit word of the seed, low
+    word first, xor-ed into the state (0 before the first) and advanced by one
+    SplitMix64 step.
 
-    A run streams the same draws through ``_numeric_averages``' block
-    instead, as u = (cos(theta) + 1)/2; the map is its merge over one block.
+    One step is a bijection of 64-bit words, so seeds 0 ... 2^64 - 1 map
+    one-to-one; a larger seed takes one step per word, so it neither aliases
+    seed mod 2^64 nor overflows.  Masked Python ints throughout.
+    """
+    state = 0
+    while True:
+        z = ((state ^ (seed & _WORD)) + _GOLDEN) & _WORD
+        z = ((z ^ (z >> 30)) * _MIX1) & _WORD
+        z = ((z ^ (z >> 27)) * _MIX2) & _WORD
+        state = z ^ (z >> 31)
+        seed >>= 64
+        if not seed:
+            return state
+
+
+@functools.lru_cache(maxsize=None)
+def _weyl_steps():
+    """Frozen i * _GOLDEN mod 2^64 for i < _MC_BLOCK: the state offsets of one block's draws."""
+    import numpy as np
+
+    steps = np.arange(_MC_BLOCK, dtype=np.uint64)
+    steps *= _GOLDEN  # uint64 array arithmetic wraps mod 2^64 without a warning
+    steps.flags.writeable = False
+    return steps
+
+
+def _uniform_draws(state: int, out, work=None) -> int:
+    """Fill the float row ``out`` with the SplitMix64 draws that follow
+    ``state`` and return the state after them.
+
+    Draw i mixes z = state + (i + 1) _GOLDEN mod 2^64 by two xor-shift-multiply
+    rounds and a last xor-shift, z ^= z >> 30, z *= _MIX1, z ^= z >> 27,
+    z *= _MIX2, z ^= z >> 31, and is r = (z >> 11) 2^-53, a multiple of 2^-53
+    in [0, 1).  The stream is counter-based, so calls on consecutive rows
+    continue it exactly.  The steps run in ``out`` and ``work`` (a float row as
+    long as ``out``, a fresh one when not given) viewed as uint64, _MC_BLOCK
+    draws at a time, in array ops, which wrap mod 2^64 without a warning.
+    """
+    import numpy as np
+
+    if work is None:
+        work = np.empty_like(out)
+    steps = _weyl_steps()
+    for start in range(0, out.size, _MC_BLOCK):
+        row = out[start:start + _MC_BLOCK]
+        z, tmp = work[start:start + _MC_BLOCK].view(np.uint64), row.view(np.uint64)
+        np.add(steps[:row.size], (state + _GOLDEN) & _WORD, out=z)
+        np.right_shift(z, 30, out=tmp)
+        z ^= tmp
+        z *= _MIX1
+        np.right_shift(z, 27, out=tmp)
+        z ^= tmp
+        z *= _MIX2
+        np.right_shift(z, 31, out=tmp)
+        z ^= tmp
+        z >>= 11
+        np.copyto(row, z.view(np.int64), casting="unsafe")  # exact below 2^53; faster than from uint64
+        row *= 2.0**-53
+        state = (state + row.size * _GOLDEN) & _WORD
+    return state
+
+
+def _montecarlo_cos_theta(samples: int, seed: int):
+    """``(state, cos_theta, reduce)``: the seeded cos(theta) = 2r - 1 as one
+    array, the state of the draws after them, and the map from values at the
+    draws to their ``NumericAverage``.
+
+    The draws r are ``_uniform_draws``' from ``_seed_state(seed)``.  A run
+    streams the same draws through ``_numeric_averages``' block instead, as
+    u = (cos(theta) + 1)/2, which is r bit for bit: r = k 2^-53 makes 2r - 1
+    and the way back exact.  The map is its merge over one block.
     """
     import numpy as np
 
     if samples < 2:
         raise ValueError("montecarlo needs at least 2 samples")
-    rng = np.random.default_rng(seed)
-    cos_theta = rng.uniform(-1.0, 1.0, samples)
+    cos_theta = np.empty(samples)
+    state = _uniform_draws(_seed_state(seed), cos_theta)
+    cos_theta *= 2.0
+    cos_theta -= 1.0
 
     def reduce(vals) -> NumericAverage:
         return _montecarlo_average(_merge_moments(_NO_DRAWS, vals))
 
-    return rng, cos_theta, reduce
+    return state, cos_theta, reduce
 
 
 def _bloch_points(method: str, samples: int = _MC_SAMPLES, seed: int = 0):
@@ -268,8 +352,11 @@ def _bloch_points(method: str, samples: int = _MC_SAMPLES, seed: int = 0):
         return grid_t.ravel(), grid_p.ravel(), reduce
     if method == "montecarlo":
         # cos(theta) is drawn before phi, so the polar averages of a run see the same points
-        rng, cos_theta, reduce = _montecarlo_cos_theta(samples, seed)
-        return np.arccos(cos_theta), rng.uniform(0.0, 2.0 * np.pi, samples), reduce
+        state, cos_theta, reduce = _montecarlo_cos_theta(samples, seed)
+        phi = np.empty(samples)
+        _uniform_draws(state, phi)
+        phi *= 2.0 * np.pi
+        return np.arccos(cos_theta), phi, reduce
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -284,8 +371,9 @@ def average_fts_numeric(
 
     Quadrature uses Gauss-Legendre in theta times a uniform periodic trapezoid
     in phi, 64 nodes each.  Monte-Carlo samples the sphere uniformly with
-    a seeded generator and reports the standard error; below 1000 samples the
-    error bar is doubled and flagged ``widened`` rather than trusted.
+    the seeded SplitMix64 draws (cos(theta) first, then phi) and reports the
+    standard error; below 1000 samples the error bar is doubled and flagged
+    ``widened`` rather than trusted.  ``seed`` is a nonnegative int.
     """
     theta, phi, reduce = _bloch_points(method, samples, seed)
     return reduce(pointwise(theta, phi))
@@ -340,7 +428,8 @@ def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
     Werner trace is exactly 1.0 on every u, so its physical averages are the
     paper ones.  The theta nodes run in four 64-wide rows; the draws stream
     through four ``_MC_BLOCK``-wide rows, one block at a time, into running
-    (n, mean, M2) totals.
+    (n, mean, M2) totals.  Each block's draws are the SplitMix64 stream's next
+    ones from ``_seed_state(seed)``, computed in its first two rows.
     """
     import numpy as np
 
@@ -352,13 +441,14 @@ def _numeric_averages(resource: ResourceSpec, factors: DecoherenceFactors,
     u *= 0.5
     val, trace = _polar_fidelity_and_trace(resource, b, u, *rows[1:])
     quad_paper, quad_physical = quadrature(val), quadrature(_normalized(val, trace, rows[1]))
-    rng = np.random.default_rng(seed)
+    state = _seed_state(seed)
     block = np.empty((4, _MC_BLOCK))
     paper = physical = _NO_DRAWS
     for start in range(0, _MC_SAMPLES, _MC_BLOCK):
         rows = block[:, :min(_MC_BLOCK, _MC_SAMPLES - start)]
-        # the r behind rng.uniform(-1.0, 1.0, _MC_SAMPLES)'s 2r - 1, which is u bit for bit
-        u = rng.random(out=rows[0])
+        # the r behind _montecarlo_cos_theta's 2r - 1, which is u bit for bit
+        state = _uniform_draws(state, rows[0], rows[1])
+        u = rows[0]
         val, trace = _polar_fidelity_and_trace(resource, b, u, *rows[1:])
         # u and the first work row are spent: the deviations and the physical value go there
         paper = _merge_moments(paper, val, u)

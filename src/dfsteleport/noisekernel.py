@@ -137,14 +137,37 @@ def _coth_over_one(omega, temperature: float):
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int):
-    """Frozen nodes and weights of the ``n``-point Gauss-Legendre rule on [-1, 1].
+    """Frozen nodes (ascending) and weights of the ``n``-point Gauss-Legendre rule on [-1, 1].
 
-    Built on first use and kept: each build is an eigen-solve, and building at
-    import would load numpy in every process.
+    Each positive root of P_n is found by Newton's iteration from
+    cos(pi (i + 3/4) / (n + 1/2)), with P_n and P_n' from the three-term
+    recurrence k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2); its weight is
+    2 / ((1 - x^2) P_n'(x)^2), and the negative half is its mirror image.
+    Plain ``math``, so the rule loads no ``numpy.polynomial``.  Built on first
+    use and kept, as frozen arrays: building at import would load numpy in
+    every process.
     """
     import numpy as np
 
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    def legendre(x: float) -> tuple[float, float]:
+        # (P_n(x), P_n'(x)); |x| < 1 at every root
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    nodes, weights = np.zeros(n), np.zeros(n)
+    for i in range((n + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):  # quadratic convergence takes 3-5 steps; the cap only bounds the loop
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        dp = legendre(x)[1]
+        nodes[i], nodes[n - 1 - i] = -x, x
+        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - x * x) * dp * dp)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

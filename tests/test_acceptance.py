@@ -193,7 +193,7 @@ def test_criterion_06_average_fidelity_triangle():
             analytic = float(average_fts_analytic(resource, factors.b))
             fn = bloch_fidelity_fn(resource, factors, "paper")
             quad = average_fts_numeric(fn, "quadrature")
-            mc = average_fts_numeric(fn, "montecarlo", samples=100_000, seed=rng)
+            mc = average_fts_numeric(fn, "montecarlo", samples=100_000, seed=int(rng.integers(2**63)))
             if abs(quad.value - analytic) > 1e-8:
                 failures.append(f"{kind} {i}: quadrature off by {abs(quad.value - analytic):.2e}")
             if abs(mc.value - analytic) > 3.0 * max(mc.stderr, 1e-15):

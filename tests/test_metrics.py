@@ -427,9 +427,31 @@ def _expression_normalized(val, trace):
     return np.where(trace > 0.0, val / np.where(trace > 0.0, trace, 1.0), np.nan)
 
 
+def _splitmix64_reference(seed, n):
+    # SplitMix64 (Steele, Lea and Flood 2014) in plain Python ints, one value at
+    # a time: the seed's 64-bit words, low first, each xor-ed into the state and
+    # taken through one step; then n draws (z >> 11) 2^-53
+    mask = 2**64 - 1
+
+    def step(state):  # (the next state, its output)
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & mask
+        return state, z ^ (z >> 31)
+
+    state = 0
+    for k in range(max(1, -(-seed.bit_length() // 64))):
+        state = step(state ^ ((seed >> (64 * k)) & mask))[1]
+    draws = []
+    for _ in range(n):
+        state, z = step(state)
+        draws.append((z >> 11) * 2.0**-53)
+    return draws
+
+
 def _expression_averages(resource, b, seed):
     theta, quadrature = metrics._quadrature_theta()
-    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, metrics._MC_SAMPLES)
+    draws = 2.0 * np.array(_splitmix64_reference(seed, metrics._MC_SAMPLES)) - 1.0
 
     def montecarlo(vals):
         # each block's np.mean and squared deviations, merged in draw order
@@ -483,7 +505,7 @@ def test_five_number_polar_form_matches_the_per_kind_form(resource, b):
     # on the theta nodes and the cos(theta) draws of a run: a pure pair keeps
     # every bit, a Werner value moves by rounding only and its trace is exactly 1
     theta, _ = metrics._quadrature_theta()
-    draws = np.random.default_rng(7).uniform(-1.0, 1.0, metrics._MC_SAMPLES)
+    _, draws, _ = metrics._montecarlo_cos_theta(metrics._MC_SAMPLES, 7)
     for cos_t in (np.cos(theta), draws):
         u = 0.5 * (1.0 + cos_t)
         val, trace = _expression_polar(resource, b, u)
@@ -512,24 +534,52 @@ def test_in_place_physical_value_is_nan_where_the_trace_is_zero(resource, empty)
     assert np.array_equal(np.isnan(physical), u == empty)
 
 
-@pytest.mark.parametrize("seed", [0, 19, 2**32 - 1])
-def test_block_draws_are_the_oracle_draws_bit_for_bit(seed):
-    # a run draws r in blocks into one buffer and reads it as u = (cos(theta) + 1)/2:
-    # blocks give one call's stream, and r = k 2^-53 makes 2r - 1 and the way back exact
-    n = 10**6
-    r = np.random.default_rng(seed).random(n)
-    blocks = np.empty(n)
-    rng = np.random.default_rng(seed)
+def test_seed_fold_starts_at_the_published_splitmix64_output():
+    # seed 0 is one step from state 0: SplitMix64's first output, 0xE220A8397B1DCDAF
+    assert metrics._seed_state(0) == 0xE220A8397B1DCDAF
+    # a seed past 2^64 takes a step per word and does not alias seed mod 2^64
+    assert metrics._seed_state(2**64) != metrics._seed_state(0)
+    assert metrics._seed_state(2**70 + 3) != metrics._seed_state(3)
+
+
+@pytest.mark.parametrize("seed", [0, 19, 2**32 - 1, 2**64 - 1, 2**64, 2**70 + 3])
+def test_block_draws_are_the_reference_stream(seed):
+    # a run draws one block at a time into the same row and continues the stream
+    # across blocks; 2 blocks and 37 draws cross two boundaries and end mid-block
+    n = 2 * metrics._MC_BLOCK + 37
+    want = _splitmix64_reference(seed, 2 * n)
+    rows = np.empty((2, metrics._MC_BLOCK))
+    got, state = [], metrics._seed_state(seed)
     for start in range(0, n, metrics._MC_BLOCK):
-        rng.random(out=blocks[start:start + metrics._MC_BLOCK])
-    assert blocks.tobytes() == r.tobytes()
-    assert (((2.0 * r - 1.0) + 1.0) * 0.5).tobytes() == r.tobytes()
-    # the oracle's cos(theta) draws are 2r - 1, and its phi draws come after them
-    want = np.random.default_rng(seed)
-    rng, cos_theta, _ = metrics._montecarlo_cos_theta(metrics._MC_SAMPLES, seed)
-    assert cos_theta.tobytes() == want.uniform(-1.0, 1.0, metrics._MC_SAMPLES).tobytes()
-    assert cos_theta.tobytes() == (2.0 * r[:metrics._MC_SAMPLES] - 1.0).tobytes()
-    assert rng.uniform(0.0, TWO_PI, 1000).tobytes() == want.uniform(0.0, TWO_PI, 1000).tobytes()
+        row = rows[0, :min(metrics._MC_BLOCK, n - start)]
+        state = metrics._uniform_draws(state, row, rows[1, :row.size])
+        got.extend(row.tolist())
+    assert got == want[:n]
+    # the oracle's cos(theta) draws are 2r - 1, r comes back from them exactly,
+    # and its phi draws are the stream's next n
+    state, cos_theta, _ = metrics._montecarlo_cos_theta(n, seed)
+    assert cos_theta.tolist() == [2.0 * r - 1.0 for r in want[:n]]
+    assert ((cos_theta + 1.0) * 0.5).tolist() == want[:n]
+    theta, phi, _ = metrics._bloch_points("montecarlo", n, seed)
+    assert phi.tolist() == [TWO_PI * r for r in want[n:]]
+
+
+@pytest.mark.parametrize("resource,convention", [(PurePair(0.6, 0.8), "paper"), (PurePair(0.6, 0.8), "physical"),
+                                                 (Werner(0.8), "paper")], ids=repr)
+def test_run_montecarlo_z_scores_are_standard_normal_over_seeds(resource, convention):
+    # over 300 seeds a run's Monte-Carlo estimate lies z stderr from the closed
+    # form with z ~ N(0, 1): the mean's spread is 0.06 and the sd's 0.04.  The
+    # counter without its mixing rounds is a low-discrepancy (Weyl) sequence,
+    # whose z-scores spread about 100 times too little.  One round alone
+    # already passes here; the reference-stream test pins every round and shift
+    fac = factors_with_b(0.93 + 0.2j)
+    want = average_fts_analytic(resource, fac.b, convention)
+    z = []
+    for seed in range(300):
+        mc = metrics._numeric_averages(resource, fac, seed)[convention][1]
+        z.append((mc.value - want) / mc.stderr)
+    assert abs(np.mean(z)) <= 0.2
+    assert 0.85 <= np.std(z, ddof=1) <= 1.15
 
 
 @pytest.mark.parametrize("resource", [PurePair(0.6, 0.8), Werner(0.8)], ids=repr)

@@ -147,14 +147,21 @@ def test_closed_forms_survive_the_overflow_of_lambda_c_tau():
     assert decay_rate(NoiseParams(2.93e16, 1.54e291), 1.17e17) == pytest.approx(4.0 * 2.93e16 / 1.17e17, rel=1e-15)
 
 
-def test_gauss_legendre_rule_is_built_once_and_frozen():
-    for n in (16, 64):
-        nodes, weights = _gauss_legendre(n)
-        want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
-        assert np.array_equal(nodes, want_nodes) and np.array_equal(weights, want_weights)
-        assert _gauss_legendre(n)[0] is nodes
-        with pytest.raises(ValueError):
-            nodes[0] = 0.0
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 64])
+def test_gauss_legendre_rule_is_exact_below_degree_2n_and_built_once_and_frozen(n):
+    # the defining property: sum w x^k = int_-1^1 x^k dx for every k <= 2n - 1,
+    # each moment summed exactly, so what is left is the rule's own rounding
+    nodes, weights = _gauss_legendre(n)
+    for k in range(2 * n):
+        moment = math.fsum(w * x**k for x, w in zip(nodes.tolist(), weights.tolist()))
+        assert moment == pytest.approx(2.0 / (k + 1) if k % 2 == 0 else 0.0, rel=0.0, abs=4.5e-16)
+    # numpy's eigenvalue-based rule, another algorithm, to rounding
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(n)
+    assert np.abs(nodes - want_nodes).max() <= 1e-15
+    assert np.abs(weights - want_weights).max() <= 4e-15
+    assert _gauss_legendre(n)[0] is nodes
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
 
 
 def test_cumulative_decay_quadrature_vs_closed_form_grid():

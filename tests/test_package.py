@@ -74,13 +74,16 @@ def test_scalar_commands_load_no_numpy(tmp_path, argv):
 
 
 def test_run_works_as_the_first_call(tmp_path):
-    # the array code imports numpy on its first use, and gives the same bytes as in this process
+    # the array code imports numpy on its first use, and gives the same bytes as in this process;
+    # the draws and the theta rule are the package's own, so numpy's generators and
+    # polynomial classes stay unloaded
     cfg = {"resource": {"kind": "pure", "concurrence": 0.8}, "tau": 6.0,
            "input": {"theta": 1.0, "phi": 0.2}, "seed": 3}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     code = ("import sys; from dfsteleport import cli; "
-            "print(cli.main(['run', '--config', 'cfg.json', '--out', 'out']), 'dfsteleport.reference' in sys.modules)")
-    assert run_fresh(code, cwd=tmp_path) == "0 False"
+            "print(cli.main(['run', '--config', 'cfg.json', '--out', 'out']), "
+            "*(name in sys.modules for name in ('dfsteleport.reference', 'numpy.random', 'numpy.polynomial')))")
+    assert run_fresh(code, cwd=tmp_path) == "0 False False False"
     assert (tmp_path / "out").read_text() == to_json(run_report(parse_config(cfg)))
 
 
